@@ -190,7 +190,12 @@ def _check_bcl(*arrays) -> None:
 
 def _fc(w, b, x):
     """Channel-mixing linear map applied per token: y[b,:,l] = w @ x[b,:,l] + b."""
-    return np.einsum("ij,bjl->bil", w, x) + b[None, :, None]
+    return w @ x + b[None, :, None]
+
+
+def _fc_weight_grad(d, x):
+    """Gradient of sum(d * (w @ x)) w.r.t. w, summed over the batch."""
+    return (d @ x.transpose(0, 2, 1)).sum(axis=0)
 
 
 def gate_first(E, p: CCTMParams) -> np.ndarray:
@@ -266,12 +271,12 @@ def _mlp_state(x, w1, b1, w2, b2) -> _MlpState:
 
 
 def _mlp_backward(state: _MlpState, w1, w2, d_out):
-    d_hidden = np.einsum("ij,bil->bjl", w2, d_out)
-    d_w2 = np.einsum("bil,bjl->ij", d_out, state.hidden)
+    d_hidden = w2.T @ d_out
+    d_w2 = _fc_weight_grad(d_out, state.hidden)
     d_b2 = d_out.sum(axis=(0, 2))
     d_pre = d_hidden * gelu_grad(state.pre)
-    d_x = np.einsum("ij,bil->bjl", w1, d_pre)
-    d_w1 = np.einsum("bil,bjl->ij", d_pre, state.x)
+    d_x = w1.T @ d_pre
+    d_w1 = _fc_weight_grad(d_pre, state.x)
     d_b1 = d_pre.sum(axis=(0, 2))
     return d_x, d_w1, d_b1, d_w2, d_b2
 
@@ -355,7 +360,6 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     d_b = d_b + d_b_grn
 
     # e1 = E + B (1 - E')
-    d_e = d_e1.copy()
     d_b = d_b + d_e1 * (1.0 - acts.e_prime)
     d_eprime = -d_e1 * acts.b
 
@@ -368,8 +372,8 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     m1 = d_xhat.mean(axis=1, keepdims=True)
     m2 = (d_xhat * acts.ln_xhat).mean(axis=1, keepdims=True)
     d_fc = acts.ln_inv_std * (d_xhat - m1 - acts.ln_xhat * m2)
-    d_e = d_e + np.einsum("ij,bil->bjl", p.fc1_w, d_fc)
-    d_fc1_w = np.einsum("bil,bjl->ij", d_fc, acts.e)
+    d_e = d_e1 + p.fc1_w.T @ d_fc
+    d_fc1_w = _fc_weight_grad(d_fc, acts.e)
     d_fc1_b = d_fc.sum(axis=(0, 2))
 
     grads = CCTMGrads(
@@ -388,6 +392,8 @@ def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> f
     from .numeric import finite_diff_grad, make_rng
 
     bsz, c, length = shape
+    if min(shape) < 1:
+        raise DimensionError(f"every extent of B,C,L must be >= 1, got {shape}")
     rng = make_rng(seed)
     p = CCTMParams.random(c, rng)
     E = rng.standard_normal((bsz, c, length))

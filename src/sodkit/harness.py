@@ -259,12 +259,11 @@ def train_toy(data: list[SynthSample], cfg: RunConfig) -> TrainMetrics:
 
     # non-finite intermediates are expected on the way to the loss guard
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, p, t_hat = model.forward(x)
+        hidden, p, t_hat = model.forward(x)
         loss = total_loss(p, t_hat)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss at epoch 0", epoch=0)
         for epoch in range(cfg.epochs):
-            hidden, p, t_hat = model.forward(x)
             sides = _decode_sides(t_hat)
             cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
             if cfg.loss == "boost":
@@ -278,16 +277,17 @@ def train_toy(data: list[SynthSample], cfg: RunConfig) -> TrainMetrics:
             d_box_raw = d_t * t_hat * (1.0 - t_hat)
 
             model.step(x, hidden, d_z, d_box_raw, cfg.lr)
-            _, p, t_hat = model.forward(x)
+            # this forward also feeds the next epoch's step
+            hidden, p, t_hat = model.forward(x)
             loss = total_loss(p, t_hat)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
 
-    return _metrics(data, model, x, y, cs, cfg, loss)
+    return _metrics(data, p, t_hat, cs, cfg, loss)
 
 
-def _metrics(data, model, x, y, cs, cfg, final_loss) -> TrainMetrics:
-    _, p, t_hat = model.forward(x)
+def _metrics(data, p, t_hat, cs, cfg, final_loss) -> TrainMetrics:
+    """Per-bucket metrics from the final model's outputs p and t_hat."""
     sides = _decode_sides(t_hat)
     cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
     if cfg.loss == "boost":
@@ -451,5 +451,5 @@ def fixed_size_mlp(x, weights: FixedSizeMlpWeights) -> np.ndarray:
         raise DimensionError(
             f"fixed-size operator expects [C, {h_o}, {w_o}] input, got shape {x.shape}"
         )
-    rows = np.einsum("ab,cib->cia", weights.w_row, x) + weights.b_row
-    return np.einsum("ab,cbj->caj", weights.w_col, rows) + weights.b_col[None, :, None]
+    rows = x @ weights.w_row.T + weights.b_row
+    return weights.w_col @ rows + weights.b_col[None, :, None]

@@ -82,12 +82,10 @@ def gelu_grad(x) -> np.ndarray:
 def sigmoid(x) -> np.ndarray:
     """Logistic function, overflow-free for arbitrarily large |x|."""
     x = tensor(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) lies in [0, 1], so it never overflows; min(x, -x) rather than
+    # -abs(x) leaves the sign bit of a NaN input as it is
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

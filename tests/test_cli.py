@@ -46,6 +46,15 @@ def test_cctm_check_passes(capsys):
     assert float(err) < 1e-4
 
 
+@pytest.mark.parametrize("shape", ["1,0,5", "1,3,0", "0,3,5"])
+def test_cctm_check_rejects_empty_shape(capsys, shape):
+    code, out, err = run(capsys, "cctm-check", "--shape", shape)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sodkit: ") and err.count("\n") == 1
+    assert ">= 1" in err
+
+
 def test_boost_table_first_row(capsys):
     code, out, _ = run(capsys, "boost-table", "--sizes", "2x2,8x8,80x80",
                        "--gamma", "0.25", "--betas", "0.05,0.1,0.25,1.0")

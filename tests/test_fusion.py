@@ -6,6 +6,7 @@ import pytest
 from sodkit import make_rng
 from sodkit.errors import DimensionError
 from sodkit.fusion import (
+    ARRAY_FIELDS,
     CCTMParams,
     cctm_backward,
     cctm_forward,
@@ -16,7 +17,7 @@ from sodkit.fusion import (
     gradient_check,
     grn,
 )
-from sodkit.numeric import finite_diff_grad, gelu, sigmoid
+from sodkit.numeric import finite_diff_grad, gelu, gelu_grad, sigmoid
 
 
 def zero_params(c, ln_eps=1e-12):
@@ -247,6 +248,104 @@ def test_backward_rejects_stale_upstream_shape():
     _, acts = cctm_forward(e, e, p)
     with pytest.raises(DimensionError):
         cctm_backward(acts, p, np.zeros((1, 2, 4)))
+
+
+def _einsum_reference(E, B, p, up):
+    """Forward output and gradients of sum(up * output) with every channel
+    map written as an einsum; the rest of the block is spelled out again."""
+    def fc(w, b, x):
+        return np.einsum("ij,bjl->bil", w, x) + b[None, :, None]
+
+    def fc_input_grad(w, d):
+        return np.einsum("ij,bil->bjl", w, d)
+
+    def fc_weight_grad(d, x):
+        return np.einsum("bil,bjl->ij", d, x)
+
+    def grn_fwd(x):
+        norms = np.sqrt((x * x).sum(axis=2))
+        denom = norms.mean(axis=1, keepdims=True) + p.grn_eps
+        scale = (norms / denom)[:, :, None]
+        return p.grn_gamma[None, :, None] * x * scale + p.grn_beta[None, :, None] + x, norms, denom
+
+    def grn_bwd(x, norms, denom, d):
+        gx = p.grn_gamma[None, :, None]
+        scale = (norms / denom)[:, :, None]
+        d_scale = (d * gx * x).sum(axis=2)
+        d_norm = d_scale / denom - (d_scale * norms).sum(axis=1, keepdims=True) / (
+            x.shape[1] * denom**2)
+        safe = np.where(norms > 0, norms, 1.0)
+        d_x = d * (gx * scale + 1.0) + (d_norm / safe)[:, :, None] * x
+        return d_x, (d * x * scale).sum(axis=(0, 2)), d.sum(axis=(0, 2))
+
+    def mlp(x, w1, b1, w2, b2):
+        pre = fc(w1, b1, x)
+        return pre, fc(w2, b2, gelu(pre))
+
+    def mlp_bwd(x, pre, w1, w2, d):
+        d_w2 = fc_weight_grad(d, gelu(pre))
+        d_pre = fc_input_grad(w2, d) * gelu_grad(pre)
+        return (fc_input_grad(w1, d_pre), fc_weight_grad(d_pre, x), d_pre.sum(axis=(0, 2)),
+                d_w2, d.sum(axis=(0, 2)))
+
+    z = fc(p.fc1_w, p.fc1_b, E)
+    inv_std = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + p.ln_eps)
+    xhat = (z - z.mean(axis=1, keepdims=True)) * inv_std
+    ln = p.ln1_gamma[None, :, None] * xhat + p.ln1_beta[None, :, None]
+    e_prime = sigmoid(gelu(ln))
+    e1 = E + B * (1.0 - e_prime)
+    ge, ge_norms, ge_denom = grn_fwd(e1)
+    gb, gb_norms, gb_denom = grn_fwd(B)
+    pre_e, logit_e = mlp(ge, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
+    pre_b, logit_b = mlp(gb, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
+    sig_e, sig_b = sigmoid(logit_e), sigmoid(logit_b)
+    gate = sig_e * sig_b
+    out = 2.0 * e1 * gate + B * (1.0 - gate)
+
+    d_gate = (2.0 * e1 - B) * up
+    d_ge, d_ew1, d_eb1, d_ew2, d_eb2 = mlp_bwd(
+        ge, pre_e, p.mlp_e_w1, p.mlp_e_w2, d_gate * sig_b * sig_e * (1.0 - sig_e))
+    d_gb, d_bw1, d_bb1, d_bw2, d_bb2 = mlp_bwd(
+        gb, pre_b, p.mlp_b_w1, p.mlp_b_w2, d_gate * sig_e * sig_b * (1.0 - sig_b))
+    d_e1_grn, d_gamma_e, d_beta_e = grn_bwd(e1, ge_norms, ge_denom, d_ge)
+    d_b_grn, d_gamma_b, d_beta_b = grn_bwd(B, gb_norms, gb_denom, d_gb)
+    d_e1 = 2.0 * gate * up + d_e1_grn
+    d_b = (1.0 - gate) * up + d_b_grn + d_e1 * (1.0 - e_prime)
+    d_ln = -d_e1 * B * e_prime * (1.0 - e_prime) * gelu_grad(ln)
+    d_xhat = d_ln * p.ln1_gamma[None, :, None]
+    d_fc = inv_std * (d_xhat - d_xhat.mean(axis=1, keepdims=True)
+                      - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True))
+    grads = {
+        "fc1_w": fc_weight_grad(d_fc, E), "fc1_b": d_fc.sum(axis=(0, 2)),
+        "ln1_gamma": (d_ln * xhat).sum(axis=(0, 2)), "ln1_beta": d_ln.sum(axis=(0, 2)),
+        "grn_gamma": d_gamma_e + d_gamma_b, "grn_beta": d_beta_e + d_beta_b,
+        "mlp_b_w1": d_bw1, "mlp_b_b1": d_bb1, "mlp_b_w2": d_bw2, "mlp_b_b2": d_bb2,
+        "mlp_e_w1": d_ew1, "mlp_e_b1": d_eb1, "mlp_e_w2": d_ew2, "mlp_e_b2": d_eb2,
+    }
+    return out, d_e1 + fc_input_grad(p.fc1_w, d_fc), d_b, grads
+
+
+def _rel_err(got, want):
+    """Largest absolute difference relative to the largest reference entry."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 33), (1, 3, 5)])
+def test_forward_backward_match_einsum_reference(shape):
+    rng = make_rng(60 + shape[0])
+    p = CCTMParams.random(shape[1], rng)
+    e, b, up = (rng.standard_normal(shape) for _ in range(3))
+    out, acts = cctm_forward(e, b, p)
+    d_e, d_b, grads = cctm_backward(acts, p, up)
+    ref_out, ref_d_e, ref_d_b, ref_grads = _einsum_reference(e, b, p, up)
+    assert _rel_err(out, ref_out) < 1e-12
+    assert _rel_err(d_e, ref_d_e) < 1e-12
+    assert _rel_err(d_b, ref_d_b) < 1e-12
+    assert set(ref_grads) == set(ARRAY_FIELDS)
+    for name in ARRAY_FIELDS:
+        got = getattr(grads, name)
+        assert got.shape == getattr(p, name).shape, name
+        assert _rel_err(got, ref_grads[name]) < 1e-12, name
 
 
 def test_gradient_check_handful_of_seeds():

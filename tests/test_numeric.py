@@ -107,6 +107,31 @@ def test_sigmoid_reflection(x):
     assert abs(s[0] + s[1] - 1.0) < 1e-12
 
 
+def _sigmoid_two_branch(x):
+    """Reference: the logistic function evaluated separately on the two
+    sides of zero through boolean masks."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+
+
+@given(st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from(_SIGMOID_SPECIALS)),
+                max_size=64))
+@settings(max_examples=200)
+def test_sigmoid_matches_two_branch_reference_bit_for_bit(values):
+    x = np.array(values + _SIGMOID_SPECIALS, dtype=np.float64)
+    got, want = sigmoid(x), _sigmoid_two_branch(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_finite_diff_quadratic():
     grad = finite_diff_grad(lambda v: float((v**2).sum()), np.array([1.0, 2.0]), h=1e-5)
     assert np.all(np.abs(grad - [2.0, 4.0]) < 1e-6)
