@@ -65,8 +65,12 @@ class BoostConfig:
     N: int = 1
 
     def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N}")
 
@@ -231,6 +235,9 @@ def weight_table(
     among the betas, each relative distance also carries its amplification
     ratio over the beta = 1.0 column.
     """
+    BoostConfig(gamma=gamma)  # the loss's own domain checks
+    for b in betas:
+        BoostConfig(beta=b)
     table = WeightTable(gamma=gamma, betas=list(betas), sizes=[tuple(s) for s in object_sizes])
     for h, w in table.sizes:
         cs = round4(size_factor(h, w, H, W))

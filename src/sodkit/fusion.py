@@ -23,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .numeric import DEFAULT_LN_EPS, gelu, gelu_grad, sigmoid, tensor
+from .errors import DimensionError, EvaluationError
+from .numeric import DEFAULT_LN_EPS, gelu, gelu_grad, make_rng, sigmoid, tensor
 
 DEFAULT_GRN_EPS = 1e-6
+# cap on the float64s in the perturbed [E, B, params] rows that one stacked
+# forward of gradient_check evaluates; its stacked E holds under half of them
+_FD_CHUNK_FLOATS = 1 << 16
 
 _MATRIX_FIELDS = ("fc1_w", "mlp_b_w1", "mlp_b_w2", "mlp_e_w1", "mlp_e_w2")
 _VECTOR_FIELDS = (
@@ -101,15 +104,18 @@ class CCTMParams:
         return np.concatenate([getattr(self, n).ravel() for n in ARRAY_FIELDS])
 
     def with_vector(self, vec: np.ndarray) -> "CCTMParams":
-        """Copy of self with all arrays replaced from a flat vector."""
+        """Copy of self with all arrays replaced from a flat vector. Leading
+        axes of vec stay leading axes of every array, so a [K, 1, n] stack of
+        vectors gives the [K, 1, ...] problem axis the forward broadcasts."""
         out = {}
         off = 0
+        lead = vec.shape[:-1]
         for name in ARRAY_FIELDS:
             arr = getattr(self, name)
-            out[name] = vec[off : off + arr.size].reshape(arr.shape).copy()
+            out[name] = vec[..., off : off + arr.size].reshape(lead + arr.shape).copy()
             off += arr.size
-        if off != vec.size:
-            raise DimensionError(f"vector length {vec.size}, expected {off}")
+        if off != vec.shape[-1]:
+            raise DimensionError(f"vector length {vec.shape[-1]}, expected {off}")
         return CCTMParams(**out, grn_eps=self.grn_eps, ln_eps=self.ln_eps)
 
 
@@ -190,7 +196,7 @@ def _check_bcl(*arrays) -> None:
 
 def _fc(w, b, x):
     """Channel-mixing linear map applied per token: y[b,:,l] = w @ x[b,:,l] + b."""
-    return w @ x + b[None, :, None]
+    return w @ x + b[..., None]
 
 
 def _fc_weight_grad(d, x):
@@ -211,11 +217,11 @@ def gate_first(E, p: CCTMParams) -> np.ndarray:
 def _gate_first_state(E, p):
     z = _fc(p.fc1_w, p.fc1_b, E)
     # LayerNorm over the channel axis, per (batch, token) position
-    mean = z.mean(axis=1, keepdims=True)
-    var = z.var(axis=1, keepdims=True)
+    mean = z.mean(axis=-2, keepdims=True)
+    var = z.var(axis=-2, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + p.ln_eps)
     xhat = (z - mean) * inv_std
-    ln_out = p.ln1_gamma[None, :, None] * xhat + p.ln1_beta[None, :, None]
+    ln_out = p.ln1_gamma[..., None] * xhat + p.ln1_beta[..., None]
     act = gelu(ln_out)
     return sigmoid(act), z, xhat, inv_std, ln_out
 
@@ -240,10 +246,10 @@ def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
 
 
 def _grn_state(x, gamma, beta, eps) -> _GrnState:
-    norms = np.sqrt((x * x).sum(axis=2))            # [B, C]
-    denom = norms.mean(axis=1, keepdims=True) + eps  # [B, 1]
-    scale = norms / denom                            # [B, C]
-    out = gamma[None, :, None] * x * scale[:, :, None] + beta[None, :, None] + x
+    norms = np.sqrt((x * x).sum(axis=-1))             # [B, C]
+    denom = norms.mean(axis=-1, keepdims=True) + eps  # [B, 1]
+    scale = norms / denom                             # [B, C]
+    out = gamma[..., None] * x * scale[..., None] + beta[..., None] + x
     return _GrnState(x=x, norms=norms, scale=scale, denom=denom, out=out)
 
 
@@ -307,7 +313,14 @@ def cctm_forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     p.validate()
     if E.shape[1] != p.channels:
         raise DimensionError(f"channel count {E.shape[1]} != params C={p.channels}")
+    return _forward(E, B, p)
 
+
+def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
+    """Unchecked body of cctm_forward. E, B and every parameter array may
+    carry leading problem axes, [K, B, C, L] maps with [K, 1, C, C] and
+    [K, 1, C] parameters; the problems never mix, since LayerNorm and GRN
+    reduce within one sample only."""
     e_prime, fc_out, ln_xhat, ln_inv_std, ln_out = _gate_first_state(E, p)
     e_cross1 = E + B * (1.0 - e_prime)
 
@@ -388,12 +401,17 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
 
 def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> float:
     """Max relative error between the analytic backward and central finite
-    differences over E, B, and all parameters, for one random problem."""
-    from .numeric import finite_diff_grad, make_rng
+    differences over E, B, and all parameters, for one random problem.
 
+    The 2 n perturbed problems x0 +- h e_i share stacked forwards, each
+    holding at most _FD_CHUNK_FLOATS perturbed coordinates, and every
+    objective is summed as a single forward's would be, so the result is the
+    one-forward-per-coordinate result bit for bit."""
     bsz, c, length = shape
     if min(shape) < 1:
         raise DimensionError(f"every extent of B,C,L must be >= 1, got {shape}")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
     rng = make_rng(seed)
     p = CCTMParams.random(c, rng)
     E = rng.standard_normal((bsz, c, length))
@@ -404,13 +422,24 @@ def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> f
     d_e, d_b, grads = cctm_backward(acts, p, w)
     analytic = np.concatenate([d_e.ravel(), d_b.ravel(), grads.to_vector()])
 
-    def objective(vec):
-        ne = vec[: E.size].reshape(E.shape)
-        nb = vec[E.size : 2 * E.size].reshape(B.shape)
-        np_ = p.with_vector(vec[2 * E.size :])
-        return float((w * cctm_forward(ne, nb, np_)[0]).sum())
-
     x0 = np.concatenate([E.ravel(), B.ravel(), p.to_vector()])
-    numeric = finite_diff_grad(objective, x0, h)
+    n = x0.size
+    numeric = np.empty(n)
+    step = max(1, _FD_CHUNK_FLOATS // (2 * n))
+    for i0 in range(0, n, step):
+        k = min(step, n - i0)
+        idx = np.arange(k)
+        rows = np.tile(x0, (2 * k, 1))
+        rows[idx, i0 + idx] = x0[i0 : i0 + k] + h
+        rows[k + idx, i0 + idx] = x0[i0 : i0 + k] - h
+        ne = rows[:, : E.size].reshape((2 * k,) + E.shape)
+        nb = rows[:, E.size : 2 * E.size].reshape((2 * k,) + B.shape)
+        np_ = p.with_vector(rows[:, None, 2 * E.size :])
+        f = (w * _forward(ne, nb, np_)[0]).reshape(2 * k, -1).sum(axis=1)
+        fp, fm = f[:k], f[k:]
+        bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
+        if bad.size:
+            raise EvaluationError(f"objective is non-finite near coordinate {i0 + bad[0]}")
+        numeric[i0 : i0 + k] = (fp - fm) / (2.0 * h)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(np.abs(analytic - numeric) / scale))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoxSample
+from .boost import BoostConfig, BoxSample
 from .errors import DimensionError, DomainError, ParseError, TrainingError
 from .numeric import make_rng, sigmoid, tensor
 
@@ -73,6 +73,7 @@ class RunConfig:
             raise DomainError(f"learning rate must be positive, got {self.lr}")
         if self.n < 1:
             raise DomainError(f"dataset size must be >= 1, got {self.n}")
+        BoostConfig(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
 
 def size_bucket(h: float, w: float) -> str:
@@ -360,8 +361,10 @@ def ingest_coco_results(path: str) -> list[Detection]:
             score = float(entry["score"])
             image_id = int(entry["image_id"])
             category_id = int(entry["category_id"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"non-numeric field: {exc}", index=i) from None
+        if not all(map(math.isfinite, bbox)):
+            raise ParseError(f"non-finite bbox value in {bbox}", index=i)
         if bbox[2] < 0 or bbox[3] < 0:
             raise ParseError(f"negative box extent in {bbox}", index=i)
         if not 0.0 <= score <= 1.0:
@@ -402,17 +405,15 @@ def score_stats(
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise DomainError(f"bucket edges must be strictly increasing, got {edges}")
     labels = [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])] + [f"[{edges[-1]:g},inf)"]
-    sums = [0.0] * len(labels)
-    counts = [0] * len(labels)
-    for det in dets:
-        if det.score < threshold:
-            continue
-        size = math.sqrt(det.bbox[2] * det.bbox[3])
-        if size < edges[0]:
-            continue
-        idx = int(np.searchsorted(edges[1:], size, side="right"))
-        sums[idx] += det.score
-        counts[idx] += 1
+    score, w, h = np.array(
+        [(det.score, det.bbox[2], det.bbox[3]) for det in dets], dtype=np.float64
+    ).reshape(-1, 3).T
+    size = np.sqrt(w * h)
+    keep = (score >= threshold) & (size >= edges[0])
+    idx = np.searchsorted(edges[1:], size[keep], side="right")
+    # bincount adds in input order, as a running per-bucket sum would
+    counts = np.bincount(idx, minlength=len(labels)).tolist()
+    sums = np.bincount(idx, weights=score[keep], minlength=len(labels)).tolist()
     means = [s / c if c else float("nan") for s, c in zip(sums, counts)]
     return ScoreStats(threshold=threshold, edges=edges, labels=labels, counts=counts, means=means)
 

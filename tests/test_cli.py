@@ -11,6 +11,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_rejected(code, out, err, needle):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sodkit: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_clap_plan_row(capsys):
     code, out, _ = run(capsys, "clap-plan", "--width", "800", "--height", "600",
                        "--patch-w", "224", "--patch-h", "224")
@@ -48,11 +55,7 @@ def test_cctm_check_passes(capsys):
 
 @pytest.mark.parametrize("shape", ["1,0,5", "1,3,0", "0,3,5"])
 def test_cctm_check_rejects_empty_shape(capsys, shape):
-    code, out, err = run(capsys, "cctm-check", "--shape", shape)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("sodkit: ") and err.count("\n") == 1
-    assert ">= 1" in err
+    assert_rejected(*run(capsys, "cctm-check", "--shape", shape), ">= 1")
 
 
 def test_boost_table_first_row(capsys):
@@ -108,6 +111,35 @@ def test_score_stats_malformed_input_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "score-stats", "--in", str(path))
     assert code == 1
     assert "entry 0" in err
+
+
+@pytest.mark.parametrize("extent", [float("nan"), float("inf")])
+def test_score_stats_rejects_non_finite_extent(tmp_path, capsys, extent):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                 "bbox": [0.0, 0.0, extent, 4.0], "score": 0.9}]))
+    assert_rejected(*run(capsys, "score-stats", "--in", str(path)), "entry 0: non-finite")
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--betas", "0,1.0"], "beta"),
+    (["--betas", "0.5,1.5"], "beta"),
+    (["--gamma", "nan"], "gamma"),
+    (["--gamma", "-1"], "gamma"),
+])
+def test_boost_table_rejects_out_of_domain_parameters(capsys, flags, needle):
+    assert_rejected(*run(capsys, "boost-table", "--sizes", "2x2,8x8", *flags), needle)
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--alpha", "7", "--gamma", "-3"], "alpha"),
+    (["--alpha", "nan"], "alpha"),
+    (["--gamma", "-3"], "gamma"),
+    (["--gamma", "inf"], "gamma"),
+    (["--beta", "0"], "beta"),
+])
+def test_boost_train_rejects_out_of_domain_parameters(capsys, flags, needle):
+    assert_rejected(*run(capsys, "boost-train", "--n", "200", "--epochs", "3", *flags), needle)
 
 
 def test_score_stats_missing_file_exits_1(tmp_path, capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sodkit import make_rng
-from sodkit.errors import DimensionError
+from sodkit import fusion, make_rng
+from sodkit.errors import DimensionError, EvaluationError
 from sodkit.fusion import (
     ARRAY_FIELDS,
     CCTMParams,
@@ -356,6 +356,57 @@ def test_gradient_check_handful_of_seeds():
 def test_gradient_check_other_shapes():
     assert gradient_check(101, (2, 2, 3)) < 1e-4
     assert gradient_check(102, (1, 4, 2)) < 1e-4
+
+
+def _per_coordinate_gradient_check(seed, shape, h=1e-5):
+    """gradient_check with one cctm_forward per perturbed coordinate."""
+    rng = make_rng(seed)
+    p = CCTMParams.random(shape[1], rng)
+    E, B, w = (rng.standard_normal(shape) for _ in range(3))
+    d_e, d_b, grads = cctm_backward(cctm_forward(E, B, p)[1], p, w)
+    analytic = np.concatenate([d_e.ravel(), d_b.ravel(), grads.to_vector()])
+
+    def objective(vec):
+        ne = vec[: E.size].reshape(shape)
+        nb = vec[E.size : 2 * E.size].reshape(shape)
+        return float((w * cctm_forward(ne, nb, p.with_vector(vec[2 * E.size :]))[0]).sum())
+
+    x0 = np.concatenate([E.ravel(), B.ravel(), p.to_vector()])
+    numeric = finite_diff_grad(objective, x0, h)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
+    return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 5), (2, 2, 3), (3, 5, 7)])
+def test_stacked_gradient_check_equals_per_coordinate_reference(shape):
+    for seed in range(3):
+        assert gradient_check(seed, shape) == _per_coordinate_gradient_check(seed, shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 5), (3, 5, 7)])
+def test_stacked_gradient_check_is_chunk_invariant(monkeypatch, shape):
+    n = 2 * math.prod(shape) + 5 * shape[1] ** 2 + 9 * shape[1]
+    assert n % 7  # 7 coordinates per chunk leave a short last chunk
+    monkeypatch.setattr(fusion, "_FD_CHUNK_FLOATS", 2 * 7 * n)
+    for seed in (4, 5):
+        assert gradient_check(seed, shape) == _per_coordinate_gradient_check(seed, shape)
+
+
+def test_stacked_forward_equals_separate_forwards():
+    k, shape = 4, (2, 3, 5)
+    rng = make_rng(70)
+    ps = [CCTMParams.random(3, rng) for _ in range(k)]
+    es, bs = rng.standard_normal((k,) + shape), rng.standard_normal((k,) + shape)
+    vecs = np.stack([p.to_vector() for p in ps])[:, None, :]
+    out, _ = fusion._forward(es, bs, ps[0].with_vector(vecs))
+    for i in range(k):
+        want, _ = cctm_forward(es[i], bs[i], ps[i])
+        assert np.array_equal(out[i], want)
+
+
+def test_gradient_check_non_finite_objective_names_coordinate():
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="coordinate 0$"):
+        gradient_check(0, (1, 3, 5), h=1e200)
 
 
 def test_params_validate_rejects_inconsistent_extents():

@@ -159,6 +159,12 @@ def test_ingest_round_trip(tmp_path):
     ({"image_id": 1, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 1.5}, "score"),
     ({"image_id": 1, "category_id": 1, "bbox": [1, 2, -3, 4], "score": 0.5}, "negative"),
     ({"image_id": 1, "category_id": 1, "bbox": [1, 2, "x", 4], "score": 0.5}, "numeric"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, 2, float("nan"), 4], "score": 0.5},
+     "non-finite"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, float("-inf"), 3, 4], "score": 0.5},
+     "non-finite"),
+    ({"image_id": float("inf"), "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5},
+     "numeric"),
 ])
 def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
     good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
@@ -205,6 +211,38 @@ def test_score_stats_counts_total_matches_threshold_filter():
                        float(rng.uniform(0, 1))) for _ in range(300)])
     stats = score_stats(dets, threshold=0.4)
     assert sum(stats.counts) == sum(1 for d in dets if d.score >= 0.4)
+
+
+def _loop_score_stats(dets, threshold, edges):
+    """One detection at a time, as a running per-bucket sum."""
+    sums = [0.0] * len(edges)
+    counts = [0] * len(edges)
+    for det in dets:
+        size = math.sqrt(det.bbox[2] * det.bbox[3])
+        if det.score < threshold or size < edges[0]:
+            continue
+        idx = int(np.searchsorted(edges[1:], size, side="right"))
+        sums[idx] += det.score
+        counts[idx] += 1
+    return counts, [s / c if c else math.nan for s, c in zip(sums, counts)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_score_stats_matches_running_loop(seed):
+    rng = make_rng(300 + seed)
+    n = [0, 1, 7, 2000][seed % 4]
+    # square boxes with integer sides land exactly on the integer edges
+    sides = [(float(rng.exponential(60.0)), float(rng.exponential(60.0))) if j % 2
+             else (float(rng.integers(0, 120)),) * 2 for j in range(n)]
+    dets = make_dets([(w, h, float(rng.uniform(0, 1))) for w, h in sides])
+    edges = tuple(np.unique(rng.integers(0, 120, 1 + seed % 5)).astype(float).tolist())
+    threshold = float(rng.uniform(0, 1))
+    stats = score_stats(dets, threshold, edges)
+    counts, means = _loop_score_stats(dets, threshold, edges)
+    assert stats.counts == counts
+    assert len(stats.means) == len(means)
+    for got, want in zip(stats.means, means):
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_score_stats_validates_arguments():

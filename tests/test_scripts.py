@@ -1,0 +1,25 @@
+"""Smoke tests: each experiment script runs to completion on a small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,args,header", [
+    ("tiling_sweep.py", ["--max-width", "64"], "width,n,overlap,stride,last_overlap"),
+    ("compare_losses.py", ["--n", "200", "--epochs", "2"],
+     "dataset: seed=42 n=200; training: epochs=2 lr=0.5"),
+])
+def test_script_runs(script, args, header):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header
