@@ -77,8 +77,10 @@ class BoostConfig:
 
 def size_factor(h: float, w: float, H: float, W: float) -> float:
     """Geometric normalized size sqrt((h/H) * (w/W)) in (0, 1]."""
-    if h <= 0 or w <= 0 or H <= 0 or W <= 0:
-        raise DomainError(f"extents must be positive, got box {h}x{w} in image {H}x{W}")
+    if not all(0 < v < math.inf for v in (h, w, H, W)):
+        raise DomainError(
+            f"extents must be positive and finite, got box {h}x{w} in image {H}x{W}"
+        )
     if h > H or w > W:
         raise DomainError(f"box {h}x{w} exceeds image {H}x{W}")
     return math.sqrt((h / H) * (w / W))
@@ -207,17 +209,22 @@ class WeightTable:
     def csv_lines(self) -> list[str]:
         head = "size,cs_hat," + ",".join(f"w_beta_{b:g}" for b in self.betas)
         lines = [head]
-        for (h, w), cs, row in zip(self.sizes, self.cs_hats, self.weights):
+        for size, cs, row in zip(self.sizes, self.cs_hats, self.weights):
             cells = ",".join(f"{v:.4f}" for v in row)
-            lines.append(f"{h:g}x{w:g},{cs:.4f},{cells}")
+            lines.append(f"{_fmt_size(size)},{cs:.4f},{cells}")
         for i, (rd_row, amp_row) in enumerate(zip(self.rd, self.amplification)):
-            a, b = self.sizes[i], self.sizes[i + 1]
             cells = ",".join(
                 f"{v:.4f}" if amp is None else f"{v:.4f} ({amp:.1f}x)"
                 for v, amp in zip(rd_row, amp_row)
             )
-            lines.append(f"RD {a[0]:g}x{a[1]:g} vs {b[0]:g}x{b[1]:g},,{cells}")
+            lines.append(
+                f"RD {_fmt_size(self.sizes[i])} vs {_fmt_size(self.sizes[i + 1])},,{cells}"
+            )
         return lines
+
+
+def _fmt_size(size: tuple[float, float]) -> str:
+    return f"{size[0]:g}x{size[1]:g}"
 
 
 def weight_table(
@@ -244,7 +251,14 @@ def weight_table(
         table.cs_hats.append(cs)
         table.weights.append([round4((1.0 - cs**b) ** gamma) for b in betas])
     unit = betas.index(1.0) if 1.0 in betas else None
-    for row_a, row_b in zip(table.weights, table.weights[1:]):
+    for i, (row_a, row_b) in enumerate(zip(table.weights, table.weights[1:])):
+        for b, wa, wb in zip(betas, row_a, row_b):
+            if min(wa, wb) == 0:
+                raise DomainError(
+                    f"relative distance of sizes {_fmt_size(table.sizes[i])} and "
+                    f"{_fmt_size(table.sizes[i + 1])} at beta={b:g} is undefined: "
+                    "a weight rounds to 0"
+                )
         rd_row = [round4(abs(wa - wb) / min(wa, wb)) for wa, wb in zip(row_a, row_b)]
         table.rd.append(rd_row)
         if unit is None or rd_row[unit] == 0:

@@ -51,12 +51,18 @@ def _pair(s):
     return float(a), float(b)
 
 
+def _nonempty(items, s):
+    if not items:
+        raise ValueError(f"expected a non-empty comma-separated list, got {s!r}")
+    return items
+
+
 def _pairs(s):
-    return [_pair(p) for p in s.split(",") if p]
+    return _nonempty([_pair(p) for p in s.split(",") if p], s)
 
 
 def floats(s):
-    return [float(v) for v in s.split(",") if v]
+    return _nonempty([float(v) for v in s.split(",") if v], s)
 
 
 def _ints3(s):

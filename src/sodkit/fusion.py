@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EvaluationError
-from .numeric import DEFAULT_LN_EPS, gelu, gelu_grad, make_rng, sigmoid, tensor
+from .numeric import (
+    DEFAULT_LN_EPS, _gelu_and_cdf, _gelu_grad_from_cdf, make_rng, sigmoid, tensor,
+)
 
 DEFAULT_GRN_EPS = 1e-6
 # cap on the float64s in the perturbed [E, B, params] rows that one stacked
@@ -153,10 +155,10 @@ class CCTMActivations:
     gate: np.ndarray
     e_cf: np.ndarray
     # first-step internals
-    fc_out: np.ndarray
     ln_xhat: np.ndarray
     ln_inv_std: np.ndarray
     ln_out: np.ndarray
+    ln_cdf: np.ndarray      # normal CDF of ln_out, shared by gelu and its derivative
     # second-step internals, one set per stream
     grn_e: "_GrnState"
     grn_b: "_GrnState"
@@ -180,7 +182,7 @@ class _MlpState:
     x: np.ndarray
     pre: np.ndarray
     hidden: np.ndarray
-    out: np.ndarray
+    cdf: np.ndarray         # normal CDF of pre
 
 
 def _check_bcl(*arrays) -> None:
@@ -222,8 +224,8 @@ def _gate_first_state(E, p):
     inv_std = 1.0 / np.sqrt(var + p.ln_eps)
     xhat = (z - mean) * inv_std
     ln_out = p.ln1_gamma[..., None] * xhat + p.ln1_beta[..., None]
-    act = gelu(ln_out)
-    return sigmoid(act), z, xhat, inv_std, ln_out
+    act, ln_cdf = _gelu_and_cdf(ln_out)
+    return sigmoid(act), xhat, inv_std, ln_out, ln_cdf
 
 
 def cross_first(E, B, e_prime) -> np.ndarray:
@@ -270,17 +272,18 @@ def _grn_backward(state: _GrnState, gamma, d_out):
     return d_x, d_gamma, d_beta
 
 
-def _mlp_state(x, w1, b1, w2, b2) -> _MlpState:
+def _mlp_state(x, w1, b1, w2, b2) -> tuple[np.ndarray, _MlpState]:
+    """The MLP's output and the state its backward needs."""
     pre = _fc(w1, b1, x)
-    hidden = gelu(pre)
-    return _MlpState(x=x, pre=pre, hidden=hidden, out=_fc(w2, b2, hidden))
+    hidden, cdf = _gelu_and_cdf(pre)
+    return _fc(w2, b2, hidden), _MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
 
 
 def _mlp_backward(state: _MlpState, w1, w2, d_out):
     d_hidden = w2.T @ d_out
     d_w2 = _fc_weight_grad(d_out, state.hidden)
     d_b2 = d_out.sum(axis=(0, 2))
-    d_pre = d_hidden * gelu_grad(state.pre)
+    d_pre = d_hidden * _gelu_grad_from_cdf(state.pre, state.cdf)
     d_x = w1.T @ d_pre
     d_w1 = _fc_weight_grad(d_pre, state.x)
     d_b1 = d_pre.sum(axis=(0, 2))
@@ -294,9 +297,9 @@ def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
     p.validate()
     ge = _grn_state(E, p.grn_gamma, p.grn_beta, p.grn_eps)
     gb = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
-    me = _mlp_state(ge.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
-    mb = _mlp_state(gb.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
-    return sigmoid(me.out) * sigmoid(mb.out)
+    logit_e, _ = _mlp_state(ge.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
+    logit_b, _ = _mlp_state(gb.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
+    return sigmoid(logit_e) * sigmoid(logit_b)
 
 
 def cross_second(E, B, gate) -> np.ndarray:
@@ -321,21 +324,21 @@ def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     carry leading problem axes, [K, B, C, L] maps with [K, 1, C, C] and
     [K, 1, C] parameters; the problems never mix, since LayerNorm and GRN
     reduce within one sample only."""
-    e_prime, fc_out, ln_xhat, ln_inv_std, ln_out = _gate_first_state(E, p)
+    e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p)
     e_cross1 = E + B * (1.0 - e_prime)
 
     grn_e = _grn_state(e_cross1, p.grn_gamma, p.grn_beta, p.grn_eps)
     grn_b = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
-    mlp_e = _mlp_state(grn_e.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
-    mlp_b = _mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
-    sig_e = sigmoid(mlp_e.out)
-    sig_b = sigmoid(mlp_b.out)
+    logit_e, mlp_e = _mlp_state(grn_e.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
+    logit_b, mlp_b = _mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
+    sig_e = sigmoid(logit_e)
+    sig_b = sigmoid(logit_b)
     gate = sig_e * sig_b
     e_cf = 2.0 * e_cross1 * gate + B * (1.0 - gate)
 
     acts = CCTMActivations(
         e=E, b=B, e_prime=e_prime, e_cross1=e_cross1, gate=gate, e_cf=e_cf,
-        fc_out=fc_out, ln_xhat=ln_xhat, ln_inv_std=ln_inv_std, ln_out=ln_out,
+        ln_xhat=ln_xhat, ln_inv_std=ln_inv_std, ln_out=ln_out, ln_cdf=ln_cdf,
         grn_e=grn_e, grn_b=grn_b, mlp_e=mlp_e, mlp_b=mlp_b,
         sig_e=sig_e, sig_b=sig_b,
     )
@@ -378,7 +381,7 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
 
     # E' = sigmoid(gelu(LN(FC(E))))
     d_act = d_eprime * acts.e_prime * (1.0 - acts.e_prime)
-    d_ln_out = d_act * gelu_grad(acts.ln_out)
+    d_ln_out = d_act * _gelu_grad_from_cdf(acts.ln_out, acts.ln_cdf)
     d_ln_gamma = (d_ln_out * acts.ln_xhat).sum(axis=(0, 2))
     d_ln_beta = d_ln_out.sum(axis=(0, 2))
     d_xhat = d_ln_out * p.ln1_gamma[None, :, None]

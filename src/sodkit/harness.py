@@ -82,6 +82,9 @@ def size_bucket(h: float, w: float) -> str:
     return BUCKET_NAMES[idx]
 
 
+_BUCKET_INDEX = {name: i for i, name in enumerate(BUCKET_NAMES)}
+
+
 def synth_dataset(seed: int, n: int) -> list[SynthSample]:
     """Deterministic synthetic dataset of n samples.
 
@@ -95,22 +98,20 @@ def synth_dataset(seed: int, n: int) -> list[SynthSample]:
     lo, hi = np.log(SIDE_RANGE[0]), np.log(SIDE_RANGE[1])
     sides = np.exp(rng.uniform(lo, hi, size=(n, 2)))
     y = (rng.uniform(size=n) < 0.5).astype(int)
-    sf = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
+    side = np.sqrt(sides[:, 0] * sides[:, 1])
+    sf = side / IMAGE_SIDE
     sigma = 0.25 * sf**-0.1
     base = (sides / IMAGE_SIDE) @ _EMBED.T
     feats = base + rng.standard_normal((n, FEATURE_DIM)) * sigma[:, None]
     neg = np.flatnonzero(y == 0)
     if neg.size:
         feats[neg] = rng.permuted(feats[neg], axis=1)
+    # every sample's size_bucket(h, w) in one pass: np.sqrt and math.sqrt
+    # round alike
+    buckets = np.searchsorted(BUCKET_EDGES[1:], side, side="right").tolist()
     return [
-        SynthSample(
-            features=feats[i],
-            y=int(y[i]),
-            h=float(sides[i, 0]),
-            w=float(sides[i, 1]),
-            size_bucket=size_bucket(sides[i, 0], sides[i, 1]),
-        )
-        for i in range(n)
+        SynthSample(features=feats[i], y=yi, h=h, w=w, size_bucket=BUCKET_NAMES[b])
+        for i, (yi, (h, w), b) in enumerate(zip(y.tolist(), sides.tolist(), buckets))
     ]
 
 
@@ -167,20 +168,29 @@ class _ToyModel:
         self.wb = rng.uniform(-1, 1, (2, HIDDEN_DIM)) / math.sqrt(HIDDEN_DIM)
         self.bb = np.zeros(2)
 
-    def forward(self, x):
-        hidden = np.tanh(x @ self.w1.T + self.b1)
+    def forward(self, x, hidden):
+        """Class probabilities and log-scale extents of x; the hidden layer
+        is written into hidden, an [n, HIDDEN_DIM] buffer."""
+        np.matmul(x, self.w1.T, out=hidden)
+        hidden += self.b1
+        np.tanh(hidden, out=hidden)
         p = sigmoid(hidden @ self.w2 + self.b2)
         t_hat = sigmoid(hidden @ self.wb.T + self.bb)  # log-scale extents in (0, 1)
-        return hidden, p, t_hat
+        return p, t_hat
 
-    def step(self, x, hidden, d_z, d_box_raw, lr):
-        d_hidden = np.outer(d_z, self.w2) + d_box_raw @ self.wb
-        d_pre = d_hidden * (1.0 - hidden * hidden)
+    def step(self, x, hidden, d_z, d_box_raw, lr, d_pre, scratch):
+        """One gradient step; d_pre and scratch are [n, HIDDEN_DIM] buffers
+        the step overwrites. The products keep the operand order of
+        (d_z w2^T + d_box_raw wb) (1 - hidden^2) and (lr * a.T) @ b."""
+        np.outer(d_z, self.w2, out=d_pre)
+        d_pre += np.matmul(d_box_raw, self.wb, out=scratch)
+        np.multiply(hidden, hidden, out=scratch)
+        d_pre *= np.subtract(1.0, scratch, out=scratch)
         self.wb -= lr * d_box_raw.T @ hidden
         self.bb -= lr * d_box_raw.sum(axis=0)
-        self.w2 -= lr * hidden.T @ d_z
+        self.w2 -= np.multiply(hidden, lr, out=scratch).T @ d_z
         self.b2 -= lr * d_z.sum()
-        self.w1 -= lr * d_pre.T @ x
+        self.w1 -= np.multiply(d_pre, lr, out=scratch).T @ x
         self.b1 -= lr * d_pre.sum(axis=0)
 
 
@@ -250,6 +260,9 @@ def train_toy(data: list[SynthSample], cfg: RunConfig) -> TrainMetrics:
     n_pos = max(1, int(pos.sum()))
 
     model = _ToyModel(make_rng(cfg.seed))
+    # the epoch's [n, HIDDEN_DIM] arrays, made once: each step reads hidden
+    # before the next forward overwrites it
+    hidden, d_pre, scratch = (np.empty((len(data), HIDDEN_DIM)) for _ in range(3))
 
     def total_loss(p, t_hat):
         sides = _decode_sides(t_hat)
@@ -260,7 +273,7 @@ def train_toy(data: list[SynthSample], cfg: RunConfig) -> TrainMetrics:
 
     # non-finite intermediates are expected on the way to the loss guard
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hidden, p, t_hat = model.forward(x)
+        p, t_hat = model.forward(x, hidden)
         loss = total_loss(p, t_hat)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss at epoch 0", epoch=0)
@@ -277,47 +290,39 @@ def train_toy(data: list[SynthSample], cfg: RunConfig) -> TrainMetrics:
             d_t[pos] = 2.0 * (t_hat[pos] - gt_t[pos]) / n_pos
             d_box_raw = d_t * t_hat * (1.0 - t_hat)
 
-            model.step(x, hidden, d_z, d_box_raw, cfg.lr)
+            model.step(x, hidden, d_z, d_box_raw, cfg.lr, d_pre, scratch)
             # this forward also feeds the next epoch's step
-            hidden, p, t_hat = model.forward(x)
+            p, t_hat = model.forward(x, hidden)
             loss = total_loss(p, t_hat)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
 
-    return _metrics(data, p, t_hat, cs, cfg, loss)
+    bucket = np.array([_BUCKET_INDEX[s.size_bucket] for s in data])
+    return _metrics(bucket, pos, p, t_hat, cs, cfg, loss)
 
 
-def _metrics(data, p, t_hat, cs, cfg, final_loss) -> TrainMetrics:
-    """Per-bucket metrics from the final model's outputs p and t_hat."""
+def _metrics(bucket, pos, p, t_hat, cs, cfg, final_loss) -> TrainMetrics:
+    """Per-bucket metrics from the final model's outputs p and t_hat, for
+    samples in buckets bucket (indices into BUCKET_NAMES) with positives
+    where pos is true."""
     sides = _decode_sides(t_hat)
     cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
     if cfg.loss == "boost":
         weights = _pos_weight_vec(cs_hat, cs, cfg.alpha, cfg.beta, cfg.gamma)
     else:
         weights = cfg.alpha * (1.0 - _clamp_vec(p)) ** cfg.gamma
-    counts = {name: 0 for name in BUCKET_NAMES}
-    hits = {name: 0 for name in BUCKET_NAMES}
-    wsum = {name: 0.0 for name in BUCKET_NAMES}
-    wcnt = {name: 0 for name in BUCKET_NAMES}
-    for i, s in enumerate(data):
-        counts[s.size_bucket] += 1
-        if s.y != 1:
-            continue
-        if p[i] >= 0.5:
-            hits[s.size_bucket] += 1
-        wsum[s.size_bucket] += float(weights[i])
-        wcnt[s.size_bucket] += 1
-    recall = {
-        name: (hits[name] / wcnt[name]) if wcnt[name] else float("nan")
-        for name in BUCKET_NAMES
-    }
-    mean_w = {
-        name: (wsum[name] / wcnt[name]) if wcnt[name] else float("nan")
-        for name in BUCKET_NAMES
-    }
+    k = len(BUCKET_NAMES)
+    # bincount adds in input order, as a running per-bucket sum would
+    counts = np.bincount(bucket, minlength=k).tolist()
+    hits = np.bincount(bucket[pos & (p >= 0.5)], minlength=k).tolist()
+    wcnt = np.bincount(bucket[pos], minlength=k).tolist()
+    wsum = np.bincount(bucket[pos], weights=weights[pos], minlength=k).tolist()
+    def per_positive(totals):
+        return {k: t / c if c else float("nan") for k, t, c in zip(BUCKET_NAMES, totals, wcnt)}
+
     return TrainMetrics(
-        cfg=cfg, final_loss=final_loss,
-        bucket_counts=counts, bucket_recall=recall, bucket_mean_weight=mean_w,
+        cfg=cfg, final_loss=final_loss, bucket_counts=dict(zip(BUCKET_NAMES, counts)),
+        bucket_recall=per_positive(hits), bucket_mean_weight=per_positive(wsum),
     )
 
 
@@ -326,7 +331,7 @@ def model_box_samples(data: list[SynthSample], cfg: RunConfig) -> list[BoxSample
     vectorized training path against the scalar loss API."""
     x = np.stack([s.features for s in data])
     model = _ToyModel(make_rng(cfg.seed))
-    _, p, t_hat = model.forward(x)
+    p, t_hat = model.forward(x, np.empty((len(data), HIDDEN_DIM)))
     sides = _decode_sides(t_hat)
     return [
         BoxSample(

@@ -67,25 +67,59 @@ def layer_norm(x, gamma, beta, eps: float = DEFAULT_LN_EPS) -> np.ndarray:
     return gamma * xhat + beta
 
 
+# The elementwise maps below run as in-place chains into np.empty_like
+# buffers. Every ufunc gets an explicit out=, so a 0-d input stays an array,
+# and each chain keeps the operand order of the one-line formula in its
+# docstring, so results (NaN signs included) are those of the formula.
+
+def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
+    0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array."""
+    cdf = np.empty_like(x)
+    erf(np.divide(x, np.sqrt(2.0), out=cdf), out=cdf)
+    np.add(1.0, cdf, out=cdf)
+    g = np.empty_like(x)
+    np.multiply(0.5, x, out=g)
+    np.multiply(g, cdf, out=g)
+    np.multiply(0.5, cdf, out=cdf)
+    return g, cdf
+
+
+def _gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU derivative cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), given the
+    normal CDF of x as _gelu_and_cdf returns it."""
+    g = np.empty_like(x)
+    np.multiply(-0.5, x, out=g)
+    np.exp(np.multiply(g, x, out=g), out=g)
+    np.multiply(x, g, out=g)
+    np.divide(g, np.sqrt(2.0 * np.pi), out=g)
+    return np.add(cdf, g, out=g)
+
+
 def gelu(x) -> np.ndarray:
     """Exact GELU, 0.5 * x * (1 + erf(x / sqrt(2))). No tanh approximation."""
-    x = tensor(x)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return _gelu_and_cdf(tensor(x))[0]
 
 
 def gelu_grad(x) -> np.ndarray:
     """Derivative of the exact GELU."""
     x = tensor(x)
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return _gelu_grad_from_cdf(x, _gelu_and_cdf(x)[1])
 
 
 def sigmoid(x) -> np.ndarray:
-    """Logistic function, overflow-free for arbitrarily large |x|."""
+    """Logistic function, overflow-free for arbitrarily large |x|:
+    where(x >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(min(x, -x))."""
     x = tensor(x)
     # exp(-|x|) lies in [0, 1], so it never overflows; min(x, -x) rather than
     # -abs(x) leaves the sign bit of a NaN input as it is
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.empty_like(x)
+    np.exp(np.minimum(x, np.negative(x, out=e), out=e), out=e)
+    d = np.add(1.0, e, out=np.empty_like(x))
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=x >= 0)
+    return e
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodkit.cli import main
 
@@ -129,6 +133,88 @@ def test_score_stats_rejects_non_finite_extent(tmp_path, capsys, extent):
 ])
 def test_boost_table_rejects_out_of_domain_parameters(capsys, flags, needle):
     assert_rejected(*run(capsys, "boost-table", "--sizes", "2x2,8x8", *flags), needle)
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--image", "8x8", "--sizes", "8x8,4x4"], "sizes 8x8 and 4x4 at beta=0.05"),
+    (["--sizes", "1000x1000,1024x1024", "--gamma", "8"], "a weight rounds to 0"),
+    (["--image", "nanx8", "--sizes", "2x2"], "finite"),
+])
+def test_boost_table_rejects_zero_weight_and_non_finite_extent(capsys, flags, needle):
+    assert_rejected(*run(capsys, "boost-table", *flags), needle)
+
+
+def test_boost_table_all_unit_weights_is_valid(capsys):
+    code, out, _ = run(capsys, "boost-table", "--image", "8x8", "--sizes", "4x4,8x8",
+                       "--gamma", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "RD 4x4 vs 8x8,,0.0000,0.0000,0.0000,0.0000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["boost-table", "--sizes", "2x2,8x8", "--betas", ","],
+    ["boost-table", "--sizes", ","],
+    ["score-stats", "--in", "unread.json", "--edges", ","],
+])
+def test_empty_lists_are_rejected(capsys, argv):
+    assert_rejected(*run(capsys, *argv), "non-empty")
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 1100).map(str),
+    st.sampled_from(["0", "-0", "1.5", "0.05", "nan", "-nan", "inf", "-inf", "1e400", "", "x"]),
+)
+_PAIRS = st.one_of(st.tuples(_NUMBERS, _NUMBERS).map("x".join), st.sampled_from(["8", "8x"]))
+
+
+def _listed(items):
+    return st.lists(items, max_size=4).map(",".join)
+
+
+def _flags(options):
+    """argv fragments: each (flag, values) pair is left out or given once."""
+    return st.tuples(*(st.one_of(st.just([]), values.map(lambda v, f=flag: [f, v]))
+                       for flag, values in options)).map(lambda parts: sum(parts, []))
+
+
+_ARGV = st.one_of(
+    _flags([("--width", _NUMBERS), ("--height", _NUMBERS), ("--patch-w", _NUMBERS),
+            ("--patch-h", _NUMBERS)]).map(lambda f: ["clap-plan", *f]),
+    _flags([("--image", _PAIRS), ("--sizes", _listed(_PAIRS)), ("--gamma", _NUMBERS),
+            ("--betas", _listed(_NUMBERS))]).map(lambda f: ["boost-table", *f]),
+    # valid sizes under any image, and a valid image with any gamma and betas,
+    # so the table itself is reached often
+    _PAIRS.map(lambda image: ["boost-table", "--image", image, "--sizes", "2x2,4x4"]),
+    _flags([("--gamma", _NUMBERS), ("--betas", _listed(_NUMBERS))]).map(
+        lambda f: ["boost-table", "--image", "8x8", "--sizes", "2x2,4x4,8x8", *f]),
+)
+
+
+def _table_is_whole(text):
+    """Header and at least one size row; every cell filled but the cs_hat
+    cell of the relative-distance rows."""
+    rows = [line.split(",") for line in text.splitlines()]
+    return len(rows) >= 2 and all(
+        all(cell for j, cell in enumerate(row) if not (row[0].startswith("RD ") and j == 1))
+        and len(row) == len(rows[0])
+        for row in rows
+    )
+
+
+@given(_ARGV)
+@settings(max_examples=400, deadline=None)
+def test_cli_exits_0_1_or_2_and_prints_no_nan(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert "nan" not in out.getvalue()
+        if argv[0] == "boost-table":
+            assert _table_is_whole(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("sodkit: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("flags,needle", [

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from sodkit import make_rng
+from sodkit import harness, make_rng
 from sodkit.boost import BoostConfig, boost_loss, boost_loss_grad, focal_loss, focal_loss_grad
 from sodkit.errors import DimensionError, DomainError, ParseError, TrainingError
 from sodkit.harness import (
@@ -66,6 +67,80 @@ def test_size_bucket_edges():
     assert size_bucket(32, 32) == "medium"
     assert size_bucket(96, 96) == "large"
     assert size_bucket(512, 512) == "large"
+
+
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_synth_buckets_match_size_bucket(seed, n):
+    data = synth_dataset(seed, n)
+    assert len(data) == n
+    assert all(s.size_bucket == size_bucket(s.h, s.w) for s in data)
+
+
+def _loop_metrics(data, p, weights):
+    """Per-bucket counts, recall and mean positive weight, one sample at a
+    time, as running sums."""
+    counts = {name: 0 for name in BUCKET_NAMES}
+    hits = dict(counts)
+    wcnt = dict(counts)
+    wsum = {name: 0.0 for name in BUCKET_NAMES}
+    for i, s in enumerate(data):
+        counts[s.size_bucket] += 1
+        if s.y == 1:
+            hits[s.size_bucket] += int(p[i] >= 0.5)
+            wcnt[s.size_bucket] += 1
+            wsum[s.size_bucket] += float(weights[i])
+    recall = {k: hits[k] / wcnt[k] if wcnt[k] else math.nan for k in BUCKET_NAMES}
+    mean_w = {k: wsum[k] / wcnt[k] if wcnt[k] else math.nan for k in BUCKET_NAMES}
+    return counts, recall, mean_w
+
+
+def _same(a, b):
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (math.isnan(a[k]) and math.isnan(b[k])) for k in a
+    )
+
+
+@pytest.mark.parametrize("loss,beta", [("boost", 1.0), ("boost", 0.05), ("focal", 1.0)])
+@pytest.mark.parametrize("seed,n,negatives_only", [
+    (1, 1, False), (2, 1, False), (3, 500, False), (4, 500, True), (5, 3, True),
+])
+def test_train_metrics_match_per_sample_loop(monkeypatch, loss, beta, seed, n, negatives_only):
+    data = synth_dataset(seed, n)
+    if negatives_only:
+        data = [dataclasses.replace(s, y=0) for s in data]
+    seen = {}
+    metrics = harness._metrics
+
+    def spy(bucket, pos, p, t_hat, cs, cfg, final_loss):
+        seen.update(p=p, t_hat=t_hat, cs=cs)
+        return metrics(bucket, pos, p, t_hat, cs, cfg, final_loss)
+
+    monkeypatch.setattr(harness, "_metrics", spy)
+    cfg = RunConfig(loss=loss, beta=beta, epochs=5, seed=seed, n=n)
+    got = train_toy(data, cfg)
+
+    p, sides = seen["p"], harness._decode_sides(seen["t_hat"])
+    cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / harness.IMAGE_SIDE
+    if loss == "boost":
+        weights = harness._pos_weight_vec(cs_hat, seen["cs"], cfg.alpha, beta, cfg.gamma)
+    else:
+        weights = cfg.alpha * (1.0 - harness._clamp_vec(p)) ** cfg.gamma
+    counts, recall, mean_w = _loop_metrics(data, p, weights)
+    assert got.bucket_counts == counts
+    assert _same(got.bucket_recall, recall)
+    assert _same(got.bucket_mean_weight, mean_w)
+    if negatives_only:
+        assert all(math.isnan(v) for v in got.bucket_recall.values())
+
+
+def test_train_twice_is_identical_and_leaves_data_unchanged():
+    data = synth_dataset(11, 300)
+    before = [s.features.copy() for s in data]
+    cfg = RunConfig(loss="boost", beta=0.05, epochs=15, seed=11, n=300)
+    first = train_toy(data, cfg).csv_lines()
+    assert train_toy(data, cfg).csv_lines() == first
+    assert all(np.array_equal(s.features, f) for s, f in zip(data, before))
 
 
 def test_vectorized_losses_match_scalar_api():

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import erf
+
 from sodkit import finite_diff_grad, gelu, layer_norm, make_rng, matmul, sigmoid
+from sodkit.numeric import _gelu_grad_from_cdf, gelu_grad
 from sodkit.errors import DimensionError, EvaluationError
 
 
@@ -130,6 +133,44 @@ def test_sigmoid_matches_two_branch_reference_bit_for_bit(values):
     got, want = sigmoid(x), _sigmoid_two_branch(x)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _gelu_ref(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def _gelu_grad_ref(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+_GELU_SPECIALS = _SIGMOID_SPECIALS + [5e-324, -5e-324, 1e-310, 1e308, -1e308, 38.0, -38.0]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_GELU_SPECIALS)), max_size=64))
+@settings(max_examples=200)
+def test_gelu_and_grad_match_formulas_bit_for_bit(values):
+    x = np.array(values + _GELU_SPECIALS, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        want_grad = _gelu_grad_ref(x)
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        for got, want in ((gelu(x), _gelu_ref(x)), (gelu_grad(x), want_grad),
+                          (_gelu_grad_from_cdf(x, cdf), want_grad)):
+            assert got.shape == x.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 0.7, -2.5, math.inf, -math.inf, math.nan, -math.nan])
+def test_elementwise_maps_of_0d_input_are_0d_arrays(v):
+    with np.errstate(all="ignore"):
+        for f, ref in ((gelu, _gelu_ref), (gelu_grad, _gelu_grad_ref),
+                       (sigmoid, _sigmoid_two_branch)):
+            got = f(np.array(v))
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert np.array_equal(_bits(got), _bits(ref(np.array([v]))))
 
 
 def test_finite_diff_quadratic():
