@@ -143,6 +143,27 @@ def test_train_twice_is_identical_and_leaves_data_unchanged():
     assert all(np.array_equal(s.features, f) for s, f in zip(data, before))
 
 
+@pytest.mark.parametrize("shape", [(0, 32), (1, 16), (7, 32), (2000, 32), (2000, 16)])
+def test_line_aligned_empty_starts_on_a_cache_line(shape):
+    # allocations of odd sizes in between move where the next heap block starts
+    keep = []
+    for pad in range(0, 64, 8):
+        keep.append(np.empty(pad + 1, dtype=np.uint8))
+        a = harness._line_aligned_empty(shape)
+        assert a.size == 0 or a.ctypes.data % 64 == 0  # an empty array has no data
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+        a[...] = 1.5
+        assert np.all(a == 1.5)
+
+
+def test_train_toy_rejects_features_of_the_wrong_length():
+    data = synth_dataset(3, 5)
+    bad = [dataclasses.replace(s, features=s.features[:-1]) for s in data]
+    with pytest.raises(ValueError):
+        train_toy(bad, RunConfig(epochs=1, seed=3, n=5))
+
+
 def test_vectorized_losses_match_scalar_api():
     data = synth_dataset(11, 200)
     cfg = RunConfig(loss="boost", alpha=0.25, beta=0.1, gamma=2.0, seed=11, n=200)
