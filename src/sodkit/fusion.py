@@ -19,7 +19,7 @@ pass is exact and is validated against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -39,6 +39,11 @@ _VECTOR_FIELDS = (
     "mlp_b_b1", "mlp_b_b2", "mlp_e_b1", "mlp_e_b2",
 )
 ARRAY_FIELDS = _MATRIX_FIELDS + _VECTOR_FIELDS
+
+
+def _to_vector(self) -> np.ndarray:
+    """Every array field, flattened and concatenated in ARRAY_FIELDS order."""
+    return np.concatenate([getattr(self, n).ravel() for n in ARRAY_FIELDS])
 
 
 @dataclass
@@ -102,8 +107,7 @@ class CCTMParams:
         }
         return cls(**kwargs)
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in ARRAY_FIELDS])
+    to_vector = _to_vector
 
     def with_vector(self, vec: np.ndarray) -> "CCTMParams":
         """Copy of self with all arrays replaced from a flat vector. Leading
@@ -121,27 +125,14 @@ class CCTMParams:
         return CCTMParams(**out, grn_eps=self.grn_eps, ln_eps=self.ln_eps)
 
 
-@dataclass
-class CCTMGrads:
-    """Parameter gradients, same layout as CCTMParams."""
-
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    grn_gamma: np.ndarray
-    grn_beta: np.ndarray
-    mlp_b_w1: np.ndarray
-    mlp_b_b1: np.ndarray
-    mlp_b_w2: np.ndarray
-    mlp_b_b2: np.ndarray
-    mlp_e_w1: np.ndarray
-    mlp_e_b1: np.ndarray
-    mlp_e_w2: np.ndarray
-    mlp_e_b2: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in ARRAY_FIELDS])
+CCTMGrads = make_dataclass(
+    "CCTMGrads", [(name, np.ndarray) for name in ARRAY_FIELDS],
+    namespace={
+        "__doc__": "Parameter gradients, same layout as CCTMParams.",
+        "__module__": __name__,
+        "to_vector": _to_vector,
+    },
+)
 
 
 @dataclass
@@ -196,6 +187,11 @@ def _check_bcl(*arrays) -> None:
             raise DimensionError(f"shape mismatch: {a.shape} vs {shape}")
 
 
+def _check_channels(x, p: CCTMParams) -> None:
+    if x.shape[1] != p.channels:
+        raise DimensionError(f"channel count {x.shape[1]} != params C={p.channels}")
+
+
 def _fc(w, b, x):
     """Channel-mixing linear map applied per token: y[b,:,l] = w @ x[b,:,l] + b."""
     return w @ x + b[..., None]
@@ -211,8 +207,7 @@ def gate_first(E, p: CCTMParams) -> np.ndarray:
     E = tensor(E)
     _check_bcl(E)
     p.validate()
-    if E.shape[1] != p.channels:
-        raise DimensionError(f"channel count {E.shape[1]} != params C={p.channels}")
+    _check_channels(E, p)
     return _gate_first_state(E, p)[0]
 
 
@@ -242,6 +237,11 @@ def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
     x = tensor(x)
     _check_bcl(x)
     gamma, beta = tensor(gamma), tensor(beta)
+    c = x.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"gamma and beta must be ({c},), got {gamma.shape} and {beta.shape}"
+        )
     if not eps > 0:
         raise DimensionError(f"eps must be positive, got {eps}")
     return _grn_state(x, gamma, beta, eps).out
@@ -255,21 +255,28 @@ def _grn_state(x, gamma, beta, eps) -> _GrnState:
     return _GrnState(x=x, norms=norms, scale=scale, denom=denom, out=out)
 
 
-def _grn_backward(state: _GrnState, gamma, d_out):
+def _grn_backward(state: _GrnState, gamma, d_out, scratch):
+    """Overwrites d_out with the input gradient; scratch is a [B, C, L]
+    buffer whose contents are lost."""
     x, scale = state.x, state.scale
     d_beta = d_out.sum(axis=(0, 2))
-    d_gamma = (d_out * x * scale[:, :, None]).sum(axis=(0, 2))
+    np.multiply(d_out, x, out=scratch)
+    d_gamma = np.multiply(scratch, scale[:, :, None], out=scratch).sum(axis=(0, 2))
     gx = gamma[None, :, None]
     # sensitivity to the per-channel scale n[b,c]
-    d_scale = (d_out * gx * x).sum(axis=2)           # [B, C]
+    np.multiply(d_out, gx, out=scratch)
+    d_scale = np.multiply(scratch, x, out=scratch).sum(axis=2)  # [B, C]
     # n = g / (mean_c(g) + eps): full Jacobian through the mean
     c = x.shape[1]
     d_norm = d_scale / state.denom - (d_scale * state.norms).sum(
         axis=1, keepdims=True
     ) / (c * state.denom**2)
     safe = np.where(state.norms > 0, state.norms, 1.0)
-    d_x = d_out * (gx * scale[:, :, None] + 1.0) + (d_norm / safe)[:, :, None] * x
-    return d_x, d_gamma, d_beta
+    # d_x = d_out * (gx * scale + 1) + (d_norm / safe) * x
+    np.multiply(d_out, gx * scale[:, :, None] + 1.0, out=d_out)
+    np.multiply((d_norm / safe)[:, :, None], x, out=scratch)
+    np.add(d_out, scratch, out=d_out)
+    return d_gamma, d_beta
 
 
 def _mlp_state(x, w1, b1, w2, b2) -> tuple[np.ndarray, _MlpState]:
@@ -279,15 +286,18 @@ def _mlp_state(x, w1, b1, w2, b2) -> tuple[np.ndarray, _MlpState]:
     return _fc(w2, b2, hidden), _MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
 
 
-def _mlp_backward(state: _MlpState, w1, w2, d_out):
-    d_hidden = w2.T @ d_out
+def _mlp_backward(state: _MlpState, w1, w2, d_out, scratch):
+    """Overwrites d_out with the input gradient; scratch is a [B, C, L]
+    buffer whose contents are lost."""
+    d_hidden = np.matmul(w2.T, d_out, out=scratch)
     d_w2 = _fc_weight_grad(d_out, state.hidden)
     d_b2 = d_out.sum(axis=(0, 2))
-    d_pre = d_hidden * _gelu_grad_from_cdf(state.pre, state.cdf)
-    d_x = w1.T @ d_pre
+    _gelu_grad_from_cdf(state.pre, state.cdf, out=d_out)
+    d_pre = np.multiply(d_hidden, d_out, out=scratch)
+    np.matmul(w1.T, d_pre, out=d_out)
     d_w1 = _fc_weight_grad(d_pre, state.x)
     d_b1 = d_pre.sum(axis=(0, 2))
-    return d_x, d_w1, d_b1, d_w2, d_b2
+    return d_w1, d_b1, d_w2, d_b2
 
 
 def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
@@ -295,6 +305,7 @@ def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
     E, B = tensor(E), tensor(B)
     _check_bcl(E, B)
     p.validate()
+    _check_channels(E, p)
     ge = _grn_state(E, p.grn_gamma, p.grn_beta, p.grn_eps)
     gb = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
     logit_e, _ = _mlp_state(ge.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
@@ -314,8 +325,7 @@ def cctm_forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     E, B = tensor(E), tensor(B)
     _check_bcl(E, B)
     p.validate()
-    if E.shape[1] != p.channels:
-        raise DimensionError(f"channel count {E.shape[1]} != params C={p.channels}")
+    _check_channels(E, p)
     return _forward(E, B, p)
 
 
@@ -354,41 +364,66 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     if acts.e.shape[1] != p.channels:
         raise DimensionError("activations do not match params channel count")
 
+    # Every [B, C, L] intermediate lives in one of five buffers made here:
+    # d_e1 (returned as d_e), d_b, x_e, x_b and scratch. Each chain keeps the
+    # operations and operand order of the one-line formula in its comment,
+    # so the results are those of the formulas bit for bit.
+    d_e1, d_b, x_e, x_b, scratch = (np.empty_like(d_out) for _ in range(5))
+
     # out = 2 e1 g + B (1 - g)
-    d_e1 = 2.0 * acts.gate * d_out
-    d_gate = (2.0 * acts.e_cross1 - acts.b) * d_out
-    d_b = (1.0 - acts.gate) * d_out
+    # d_e1 = 2 g * d_out; d_gate = (2 e1 - B) * d_out; d_b = (1 - g) * d_out
+    np.multiply(np.multiply(2.0, acts.gate, out=d_e1), d_out, out=d_e1)
+    d_gate = np.multiply(2.0, acts.e_cross1, out=x_b)
+    np.multiply(np.subtract(d_gate, acts.b, out=d_gate), d_out, out=d_gate)
+    np.multiply(np.subtract(1.0, acts.gate, out=d_b), d_out, out=d_b)
 
     # gate = sig_e * sig_b
-    d_logit_e = d_gate * acts.sig_b * acts.sig_e * (1.0 - acts.sig_e)
-    d_logit_b = d_gate * acts.sig_e * acts.sig_b * (1.0 - acts.sig_b)
+    # d_logit_e = d_gate * sig_b * sig_e * (1 - sig_e), into x_e
+    # d_logit_b = d_gate * sig_e * sig_b * (1 - sig_b), in place of d_gate
+    d_logit_e = np.multiply(d_gate, acts.sig_b, out=x_e)
+    np.multiply(d_logit_e, acts.sig_e, out=d_logit_e)
+    np.multiply(d_logit_e, np.subtract(1.0, acts.sig_e, out=scratch), out=d_logit_e)
+    d_logit_b = np.multiply(d_gate, acts.sig_e, out=x_b)
+    np.multiply(d_logit_b, acts.sig_b, out=d_logit_b)
+    np.multiply(d_logit_b, np.subtract(1.0, acts.sig_b, out=scratch), out=d_logit_b)
 
-    d_grn_e_out, d_ew1, d_eb1, d_ew2, d_eb2 = _mlp_backward(
-        acts.mlp_e, p.mlp_e_w1, p.mlp_e_w2, d_logit_e
+    # each MLP and GRN backward turns its d_logit buffer into the gradient
+    # of its stream's input
+    d_ew1, d_eb1, d_ew2, d_eb2 = _mlp_backward(
+        acts.mlp_e, p.mlp_e_w1, p.mlp_e_w2, x_e, scratch
     )
-    d_grn_b_out, d_bw1, d_bb1, d_bw2, d_bb2 = _mlp_backward(
-        acts.mlp_b, p.mlp_b_w1, p.mlp_b_w2, d_logit_b
+    d_bw1, d_bb1, d_bw2, d_bb2 = _mlp_backward(
+        acts.mlp_b, p.mlp_b_w1, p.mlp_b_w2, x_b, scratch
     )
-
-    d_e1_grn, d_gamma_e, d_beta_e = _grn_backward(acts.grn_e, p.grn_gamma, d_grn_e_out)
-    d_b_grn, d_gamma_b, d_beta_b = _grn_backward(acts.grn_b, p.grn_gamma, d_grn_b_out)
-    d_e1 = d_e1 + d_e1_grn
-    d_b = d_b + d_b_grn
+    d_gamma_e, d_beta_e = _grn_backward(acts.grn_e, p.grn_gamma, x_e, scratch)
+    d_gamma_b, d_beta_b = _grn_backward(acts.grn_b, p.grn_gamma, x_b, scratch)
+    np.add(d_e1, x_e, out=d_e1)
+    np.add(d_b, x_b, out=d_b)
 
     # e1 = E + B (1 - E')
-    d_b = d_b + d_e1 * (1.0 - acts.e_prime)
-    d_eprime = -d_e1 * acts.b
+    # d_b = d_b + d_e1 * (1 - E'); d_eprime = -d_e1 * B, into x_e
+    one_minus_eprime = np.subtract(1.0, acts.e_prime, out=scratch)
+    np.add(d_b, np.multiply(d_e1, one_minus_eprime, out=x_b), out=d_b)
+    d_eprime = np.multiply(np.negative(d_e1, out=x_e), acts.b, out=x_e)
 
     # E' = sigmoid(gelu(LN(FC(E))))
-    d_act = d_eprime * acts.e_prime * (1.0 - acts.e_prime)
-    d_ln_out = d_act * _gelu_grad_from_cdf(acts.ln_out, acts.ln_cdf)
-    d_ln_gamma = (d_ln_out * acts.ln_xhat).sum(axis=(0, 2))
+    # d_act = d_eprime * E' * (1 - E'); d_ln_out = d_act * gelu'(ln_out)
+    d_act = np.multiply(d_eprime, acts.e_prime, out=x_e)
+    np.multiply(d_act, one_minus_eprime, out=d_act)
+    d_ln_out = np.multiply(
+        d_act, _gelu_grad_from_cdf(acts.ln_out, acts.ln_cdf, out=scratch), out=x_e
+    )
+    d_ln_gamma = np.multiply(d_ln_out, acts.ln_xhat, out=scratch).sum(axis=(0, 2))
     d_ln_beta = d_ln_out.sum(axis=(0, 2))
-    d_xhat = d_ln_out * p.ln1_gamma[None, :, None]
+    d_xhat = np.multiply(d_ln_out, p.ln1_gamma[None, :, None], out=x_e)
     m1 = d_xhat.mean(axis=1, keepdims=True)
-    m2 = (d_xhat * acts.ln_xhat).mean(axis=1, keepdims=True)
-    d_fc = acts.ln_inv_std * (d_xhat - m1 - acts.ln_xhat * m2)
-    d_e = d_e1 + p.fc1_w.T @ d_fc
+    m2 = np.multiply(d_xhat, acts.ln_xhat, out=scratch).mean(axis=1, keepdims=True)
+    # d_fc = inv_std * (d_xhat - m1 - xhat * m2)
+    d_fc = np.subtract(d_xhat, m1, out=x_e)
+    np.subtract(d_fc, np.multiply(acts.ln_xhat, m2, out=scratch), out=d_fc)
+    np.multiply(acts.ln_inv_std, d_fc, out=d_fc)
+    # d_e = d_e1 + fc1_w.T @ d_fc
+    d_e = np.add(d_e1, np.matmul(p.fc1_w.T, d_fc, out=scratch), out=d_e1)
     d_fc1_w = _fc_weight_grad(d_fc, acts.e)
     d_fc1_b = d_fc.sum(axis=(0, 2))
 

@@ -85,10 +85,13 @@ def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, cdf
 
 
-def _gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def _gelu_grad_from_cdf(
+    x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """GELU derivative cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), given the
-    normal CDF of x as _gelu_and_cdf returns it."""
-    g = np.empty_like(x)
+    normal CDF of x as _gelu_and_cdf returns it; written into out if given,
+    which must not share memory with x or cdf."""
+    g = np.empty_like(x) if out is None else out
     np.multiply(-0.5, x, out=g)
     np.exp(np.multiply(g, x, out=g), out=g)
     np.multiply(x, g, out=g)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from sodkit import fusion, make_rng
 from sodkit.errors import DimensionError, EvaluationError
 from sodkit.fusion import (
     ARRAY_FIELDS,
+    CCTMGrads,
     CCTMParams,
     cctm_backward,
     cctm_forward,
@@ -17,7 +20,7 @@ from sodkit.fusion import (
     gradient_check,
     grn,
 )
-from sodkit.numeric import finite_diff_grad, gelu, gelu_grad, sigmoid
+from sodkit.numeric import _gelu_grad_from_cdf, finite_diff_grad, gelu, gelu_grad, sigmoid
 
 
 def zero_params(c, ln_eps=1e-12):
@@ -425,3 +428,172 @@ def test_forward_rejects_channel_mismatch():
     e = make_rng(53).standard_normal((1, 4, 5))
     with pytest.raises(DimensionError):
         cctm_forward(e, e, p)
+
+
+def test_cross_gate_rejects_channel_and_shape_mismatch():
+    p = CCTMParams.random(3, make_rng(54))
+    e = make_rng(55).standard_normal((1, 4, 5))
+    with pytest.raises(DimensionError, match="channel count 4 != params C=3"):
+        cross_gate(e, e, p)
+    e = make_rng(56).standard_normal((1, 3, 5))
+    with pytest.raises(DimensionError, match="shape mismatch"):
+        cross_gate(e, e[:, :, :4], p)
+
+
+@pytest.mark.parametrize("gamma_shape,beta_shape", [
+    ((2,), (3,)), ((3,), (4,)), ((1,), (3,)), ((3,), (1,)), ((1, 3), (3,)),
+])
+def test_grn_rejects_affine_not_one_per_channel(gamma_shape, beta_shape):
+    x = make_rng(57).standard_normal((2, 3, 4))
+    with pytest.raises(DimensionError, match=r"must be \(3,\)"):
+        grn(x, np.ones(gamma_shape), np.zeros(beta_shape))
+
+
+def test_grads_fields_are_array_fields():
+    assert tuple(f.name for f in dataclasses.fields(CCTMGrads)) == ARRAY_FIELDS
+    grads = CCTMGrads(**{n: np.full(2, float(i)) for i, n in enumerate(ARRAY_FIELDS)})
+    assert np.array_equal(grads.to_vector(), np.repeat(np.arange(14.0), 2))
+
+
+def _frozen_backward(acts, p, d_out):
+    """The out-of-place backward that the buffer-reusing one replaced, kept
+    expression for expression as the bit-level reference."""
+    def fc_weight_grad(d, x):
+        return (d @ x.transpose(0, 2, 1)).sum(axis=0)
+
+    def grn_backward(state, gamma, d_out):
+        x, scale = state.x, state.scale
+        d_beta = d_out.sum(axis=(0, 2))
+        d_gamma = (d_out * x * scale[:, :, None]).sum(axis=(0, 2))
+        gx = gamma[None, :, None]
+        d_scale = (d_out * gx * x).sum(axis=2)
+        c = x.shape[1]
+        d_norm = d_scale / state.denom - (d_scale * state.norms).sum(
+            axis=1, keepdims=True
+        ) / (c * state.denom**2)
+        safe = np.where(state.norms > 0, state.norms, 1.0)
+        d_x = d_out * (gx * scale[:, :, None] + 1.0) + (d_norm / safe)[:, :, None] * x
+        return d_x, d_gamma, d_beta
+
+    def mlp_backward(state, w1, w2, d_out):
+        d_hidden = w2.T @ d_out
+        d_w2 = fc_weight_grad(d_out, state.hidden)
+        d_b2 = d_out.sum(axis=(0, 2))
+        d_pre = d_hidden * _gelu_grad_from_cdf(state.pre, state.cdf)
+        d_x = w1.T @ d_pre
+        d_w1 = fc_weight_grad(d_pre, state.x)
+        d_b1 = d_pre.sum(axis=(0, 2))
+        return d_x, d_w1, d_b1, d_w2, d_b2
+
+    d_e1 = 2.0 * acts.gate * d_out
+    d_gate = (2.0 * acts.e_cross1 - acts.b) * d_out
+    d_b = (1.0 - acts.gate) * d_out
+    d_logit_e = d_gate * acts.sig_b * acts.sig_e * (1.0 - acts.sig_e)
+    d_logit_b = d_gate * acts.sig_e * acts.sig_b * (1.0 - acts.sig_b)
+    d_grn_e_out, d_ew1, d_eb1, d_ew2, d_eb2 = mlp_backward(
+        acts.mlp_e, p.mlp_e_w1, p.mlp_e_w2, d_logit_e
+    )
+    d_grn_b_out, d_bw1, d_bb1, d_bw2, d_bb2 = mlp_backward(
+        acts.mlp_b, p.mlp_b_w1, p.mlp_b_w2, d_logit_b
+    )
+    d_e1_grn, d_gamma_e, d_beta_e = grn_backward(acts.grn_e, p.grn_gamma, d_grn_e_out)
+    d_b_grn, d_gamma_b, d_beta_b = grn_backward(acts.grn_b, p.grn_gamma, d_grn_b_out)
+    d_e1 = d_e1 + d_e1_grn
+    d_b = d_b + d_b_grn
+    d_b = d_b + d_e1 * (1.0 - acts.e_prime)
+    d_eprime = -d_e1 * acts.b
+    d_act = d_eprime * acts.e_prime * (1.0 - acts.e_prime)
+    d_ln_out = d_act * _gelu_grad_from_cdf(acts.ln_out, acts.ln_cdf)
+    d_ln_gamma = (d_ln_out * acts.ln_xhat).sum(axis=(0, 2))
+    d_ln_beta = d_ln_out.sum(axis=(0, 2))
+    d_xhat = d_ln_out * p.ln1_gamma[None, :, None]
+    m1 = d_xhat.mean(axis=1, keepdims=True)
+    m2 = (d_xhat * acts.ln_xhat).mean(axis=1, keepdims=True)
+    d_fc = acts.ln_inv_std * (d_xhat - m1 - acts.ln_xhat * m2)
+    d_e = d_e1 + p.fc1_w.T @ d_fc
+    grads = CCTMGrads(
+        fc1_w=fc_weight_grad(d_fc, acts.e), fc1_b=d_fc.sum(axis=(0, 2)),
+        ln1_gamma=d_ln_gamma, ln1_beta=d_ln_beta,
+        grn_gamma=d_gamma_e + d_gamma_b, grn_beta=d_beta_e + d_beta_b,
+        mlp_b_w1=d_bw1, mlp_b_b1=d_bb1, mlp_b_w2=d_bw2, mlp_b_b2=d_bb2,
+        mlp_e_w1=d_ew1, mlp_e_b1=d_eb1, mlp_e_w2=d_ew2, mlp_e_b2=d_eb2,
+    )
+    return d_e, d_b, grads
+
+
+def _problem(shape, seed, specials=False):
+    rng = make_rng(seed)
+    p = CCTMParams.random(shape[1], rng)
+    e, b, up = (rng.standard_normal(shape) for _ in range(3))
+    if specials:
+        e.flat[:5] = [np.nan, -np.nan, np.inf, -np.inf, -0.0]
+        b.flat[-5:] = [-0.0, np.inf, -np.nan, np.nan, -np.inf]
+    return e, b, up, p
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape,specials", [
+    ((2, 64, 1024), False), ((1, 3, 5), False), ((3, 8, 33), False), ((1, 1, 1), False),
+    ((2, 4, 6), True),
+])
+def test_backward_bit_identical_to_frozen_reference(shape, specials):
+    e, b, up, p = _problem(shape, 80 + shape[1], specials)
+    with np.errstate(all="ignore"):
+        _, acts = cctm_forward(e, b, p)
+        got = cctm_backward(acts, p, up)
+        want = _frozen_backward(acts, p, up)
+    if specials:
+        assert np.isnan(got[0]).any() and np.isnan(got[1]).any()
+    for g, w in zip(got[:2] + (got[2].to_vector(),), want[:2] + (want[2].to_vector(),)):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def _reachable_arrays(obj):
+    """Every ndarray reachable through dataclass fields, by field path."""
+    if isinstance(obj, np.ndarray):
+        return {"": obj}
+    if dataclasses.is_dataclass(obj):
+        return {
+            f"{f.name}.{path}": arr
+            for f in dataclasses.fields(obj)
+            for path, arr in _reachable_arrays(getattr(obj, f.name)).items()
+        }
+    return {}
+
+
+def test_backward_leaves_inputs_alone_and_returns_fresh_arrays():
+    e, b, up, p = _problem((2, 5, 7), 90)
+    _, acts = cctm_forward(e, b, p)
+    arrays = _reachable_arrays(acts)
+    assert len(arrays) > 20
+    before = {k: a.tobytes() for k, a in arrays.items()}
+    up_before = up.tobytes()
+
+    d_e, d_b, grads = cctm_backward(acts, p, up)
+    assert {k: a.tobytes() for k, a in arrays.items()} == before
+    assert up.tobytes() == up_before
+    for k, a in arrays.items():
+        assert not np.shares_memory(d_e, a), k
+        assert not np.shares_memory(d_b, a), k
+    assert not np.shares_memory(d_e, d_b)
+
+    d_e2, d_b2, grads2 = cctm_backward(acts, p, up)
+    assert d_e.tobytes() == d_e2.tobytes() and d_b.tobytes() == d_b2.tobytes()
+    assert grads.to_vector().tobytes() == grads2.to_vector().tobytes()
+
+
+def test_backward_traced_peak_is_about_five_maps():
+    # numpy reports its data buffers to tracemalloc, so the peak is exact; one
+    # [2, 64, 1024] map is 1 MiB, and the backward holds five of them
+    e, b, up, p = _problem((2, 64, 1024), 91)
+    _, acts = cctm_forward(e, b, p)
+    tracemalloc.start()
+    try:
+        cctm_backward(acts, p, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("tiling_sweep.py", ["--max-width", "64"], "width,n,overlap,stride,last_overlap"),
     ("compare_losses.py", ["--n", "200", "--epochs", "2"],
      "dataset: seed=42 n=200; training: epochs=2 lr=0.5"),
+    ("fault_count.py", ["--shape", "1,3,5", "--ops", "3"],
+     "call,shape,ops,median_minor_faults,tracemalloc_peak_mib"),
 ])
 def test_script_runs(script, args, header):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
