@@ -37,7 +37,7 @@ from .fusion import (
     grn,
 )
 from .harness import (
-    Detection,
+    Detections,
     FixedSizeMlpWeights,
     RunConfig,
     SynthSample,

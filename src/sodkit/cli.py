@@ -9,6 +9,7 @@ violation (bad arguments, malformed input), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -70,46 +71,6 @@ def _ints3(s):
     if len(parts) != 3:
         raise ValueError(f"expected B,C,L, got {s!r}")
     return tuple(parts)
-
-
-COMMANDS: dict[str, list[Opt]] = {
-    "clap-plan": [
-        Opt("--width", int, required=True, help="input width"),
-        Opt("--height", int, required=True, help="input height"),
-        Opt("--patch-w", int, required=True, help="patch width"),
-        Opt("--patch-h", int, required=True, help="patch height"),
-        Opt("--out", str, help="write CSV here instead of stdout"),
-    ],
-    "cctm-check": [
-        Opt("--seed", int, default=0, help="RNG seed"),
-        Opt("--shape", _ints3, default=(1, 3, 5), help="tensor shape B,C,L"),
-        Opt("--out", str, help="write CSV here instead of stdout"),
-    ],
-    "boost-table": [
-        Opt("--image", _pair, default=(1024.0, 1024.0), help="image size HxW"),
-        Opt("--sizes", _pairs, required=True, help="object sizes, e.g. 2x2,8x8"),
-        Opt("--gamma", float, default=0.25, help="focusing exponent"),
-        Opt("--betas", floats, default=[0.05, 0.1, 0.25, 1.0], help="beta values"),
-        Opt("--out", str, help="write CSV here instead of stdout"),
-    ],
-    "boost-train": [
-        Opt("--loss", str, default="boost", help="boost or focal"),
-        Opt("--alpha", float, default=0.25),
-        Opt("--beta", float, default=1.0),
-        Opt("--gamma", float, default=2.0),
-        Opt("--epochs", int, default=200),
-        Opt("--lr", float, default=0.5),
-        Opt("--seed", int, default=0),
-        Opt("--n", int, default=5000, help="synthetic dataset size"),
-        Opt("--out", str, help="write metrics CSV here instead of stdout"),
-    ],
-    "score-stats": [
-        Opt("--in", str, required=True, help="COCO results JSON"),
-        Opt("--threshold", float, default=0.4),
-        Opt("--edges", floats, default=list(harness.DEFAULT_STAT_EDGES)),
-        Opt("--out", str, help="write CSV here instead of stdout"),
-    ],
-}
 
 
 def _load_config(path: str, opts: list[Opt]) -> dict:
@@ -199,19 +160,54 @@ def _cmd_score_stats(ns) -> int:
     return 0
 
 
-_DISPATCH = {
-    "clap-plan": _cmd_clap_plan,
-    "cctm-check": _cmd_cctm_check,
-    "boost-table": _cmd_boost_table,
-    "boost-train": _cmd_boost_train,
-    "score-stats": _cmd_score_stats,
+# each command: its options and the handler that runs on the resolved options
+COMMANDS: dict[str, tuple[list[Opt], callable]] = {
+    "clap-plan": ([
+        Opt("--width", int, required=True, help="input width"),
+        Opt("--height", int, required=True, help="input height"),
+        Opt("--patch-w", int, required=True, help="patch width"),
+        Opt("--patch-h", int, required=True, help="patch height"),
+        Opt("--out", str, help="write CSV here instead of stdout"),
+    ], _cmd_clap_plan),
+    "cctm-check": ([
+        Opt("--seed", int, default=0, help="RNG seed"),
+        Opt("--shape", _ints3, default=(1, 3, 5), help="tensor shape B,C,L"),
+        Opt("--out", str, help="write CSV here instead of stdout"),
+    ], _cmd_cctm_check),
+    "boost-table": ([
+        Opt("--image", _pair, default=(1024.0, 1024.0), help="image size HxW"),
+        Opt("--sizes", _pairs, required=True, help="object sizes, e.g. 2x2,8x8"),
+        Opt("--gamma", float, default=0.25, help="focusing exponent"),
+        Opt("--betas", floats, default=[0.05, 0.1, 0.25, 1.0], help="beta values"),
+        Opt("--out", str, help="write CSV here instead of stdout"),
+    ], _cmd_boost_table),
+    "boost-train": ([
+        Opt("--loss", str, default="boost", help="boost or focal"),
+        Opt("--alpha", float, default=0.25),
+        Opt("--beta", float, default=1.0),
+        Opt("--gamma", float, default=2.0),
+        Opt("--epochs", int, default=200),
+        Opt("--lr", float, default=0.5),
+        Opt("--seed", int, default=0),
+        Opt("--n", int, default=5000, help="synthetic dataset size"),
+        Opt("--out", str, help="write metrics CSV here instead of stdout"),
+    ], _cmd_boost_train),
+    "score-stats": ([
+        Opt("--in", str, required=True, help="COCO results JSON"),
+        Opt("--threshold", float, default=0.4),
+        Opt("--edges", floats, default=list(harness.DEFAULT_STAT_EDGES)),
+        Opt("--out", str, help="write CSV here instead of stdout"),
+    ], _cmd_score_stats),
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The whole command-line parser, built once per process: parsing keeps
+    no state between calls, so one parser serves every call of main."""
     parser = _Parser(prog="sodkit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, opts in COMMANDS.items():
+    for name, (opts, _) in COMMANDS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", default=None, help="key = value option file")
         for o in opts:
@@ -222,8 +218,8 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        ns = _resolve(args, COMMANDS[args.command])
-        return _DISPATCH[args.command](ns)
+        opts, handler = COMMANDS[args.command]
+        return handler(_resolve(args, opts))
     except TrainingError as exc:
         print(f"sodkit: {exc}", file=sys.stderr)
         return 2

@@ -81,6 +81,8 @@ class CCTMParams:
                 raise DimensionError(f"{name} must be ({c},), got {getattr(self, name).shape}")
         if not self.grn_eps > 0:
             raise DimensionError(f"grn_eps must be positive, got {self.grn_eps}")
+        if not 0 < self.ln_eps < np.inf:
+            raise DimensionError(f"ln_eps must be positive and finite, got {self.ln_eps}")
 
     @classmethod
     def init(cls, c: int, rng: np.random.Generator) -> "CCTMParams":

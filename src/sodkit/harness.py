@@ -44,12 +44,14 @@ class SynthSample:
     size_bucket: str
 
 
-@dataclass(frozen=True)
-class Detection:
-    image_id: int
-    category_id: int
-    bbox: tuple[float, float, float, float]  # x, y, w, h
-    score: float
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """COCO results as columns, one row per entry in file order."""
+
+    image_id: np.ndarray     # int64 [n]
+    category_id: np.ndarray  # int64 [n]
+    bbox: np.ndarray         # float64 [n, 4]: x, y, w, h
+    score: np.ndarray        # float64 [n]
 
 
 @dataclass
@@ -360,14 +362,23 @@ def model_box_samples(data: list[SynthSample], cfg: RunConfig) -> list[BoxSample
     ]
 
 
-def ingest_coco_results(path: str) -> list[Detection]:
-    """Parse a COCO results JSON array; malformed entries raise ParseError
-    carrying the entry index."""
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def ingest_coco_results(path: str) -> Detections:
+    """Parse a COCO results JSON array into columns; malformed entries raise
+    ParseError carrying the entry index. Each entry is checked in one pass,
+    in order, so the first bad entry is the one reported; an id outside the
+    int64 range is malformed."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
     if not isinstance(raw, list):
         raise ParseError("top-level value must be a JSON array")
-    out = []
+    image_ids, category_ids, boxes, scores = [], [], [], []
+    isfinite = math.isfinite
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ParseError("entry is not an object", index=i)
@@ -378,20 +389,34 @@ def ingest_coco_results(path: str) -> list[Detection]:
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise ParseError(f"bbox must be a 4-element array, got {bbox!r}", index=i)
         try:
-            bbox = tuple(float(v) for v in bbox)
+            bbox = tuple(map(float, bbox))
             score = float(entry["score"])
             image_id = int(entry["image_id"])
             category_id = int(entry["category_id"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"non-numeric field: {exc}", index=i) from None
-        if not all(map(math.isfinite, bbox)):
+        x, y, w, h = bbox
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
             raise ParseError(f"non-finite bbox value in {bbox}", index=i)
-        if bbox[2] < 0 or bbox[3] < 0:
+        if w < 0 or h < 0:
             raise ParseError(f"negative box extent in {bbox}", index=i)
         if not 0.0 <= score <= 1.0:
             raise ParseError(f"score {score} outside [0, 1]", index=i)
-        out.append(Detection(image_id=image_id, category_id=category_id, bbox=bbox, score=score))
-    return out
+        if not (_INT64_MIN <= image_id <= _INT64_MAX and _INT64_MIN <= category_id <= _INT64_MAX):
+            raise ParseError(
+                f"id outside the int64 range: image_id={image_id}, category_id={category_id}",
+                index=i,
+            )
+        image_ids.append(image_id)
+        category_ids.append(category_id)
+        boxes.extend(bbox)
+        scores.append(score)
+    return Detections(
+        image_id=np.array(image_ids, dtype=np.int64),
+        category_id=np.array(category_ids, dtype=np.int64),
+        bbox=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        score=np.array(scores, dtype=np.float64),
+    )
 
 
 @dataclass
@@ -414,7 +439,7 @@ class ScoreStats:
 
 
 def score_stats(
-    dets: list[Detection],
+    dets: Detections,
     threshold: float,
     bucket_edges: tuple[float, ...] = DEFAULT_STAT_EDGES,
 ) -> ScoreStats:
@@ -425,11 +450,11 @@ def score_stats(
     edges = tuple(float(e) for e in bucket_edges)
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise DomainError(f"bucket edges must be strictly increasing, got {edges}")
+    if not all(map(math.isfinite, edges)):
+        raise DomainError(f"bucket edges must be finite, got {edges}")
     labels = [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])] + [f"[{edges[-1]:g},inf)"]
-    score, w, h = np.array(
-        [(det.score, det.bbox[2], det.bbox[3]) for det in dets], dtype=np.float64
-    ).reshape(-1, 3).T
-    size = np.sqrt(w * h)
+    score = dets.score
+    size = np.sqrt(dets.bbox[:, 2] * dets.bbox[:, 3])
     keep = (score >= threshold) & (size >= edges[0])
     idx = np.searchsorted(edges[1:], size[keep], side="right")
     # bincount adds in input order, as a running per-bucket sum would

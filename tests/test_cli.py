@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodkit.cli import main
+from sodkit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -177,6 +178,33 @@ def _flags(options):
                        for flag, values in options)).map(lambda parts: sum(parts, []))
 
 
+class _Doc(str):
+    """A score-stats input document in an argv: the test writes it to a file
+    and passes that file's path instead."""
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(-2, 300), st.floats(-1.0, 400.0),
+    st.sampled_from([0.5, 1.5, -0.0, math.nan, math.inf, 2**63, 1e300, "0.5", "x", None, True, []]),
+)
+_GOOD_ENTRY = st.fixed_dictionaries({
+    "image_id": st.integers(0, 9), "category_id": st.integers(1, 80),
+    "bbox": st.lists(st.floats(0.0, 300.0), min_size=4, max_size=4),
+    "score": st.floats(0.0, 1.0),
+})
+_FUZZED_ENTRY = st.fixed_dictionaries({}, optional={
+    "image_id": _JSON_SCALARS, "category_id": _JSON_SCALARS,
+    "bbox": st.lists(_JSON_SCALARS, min_size=3, max_size=5), "score": _JSON_SCALARS,
+})
+_EDGES = st.one_of(st.integers(-1, 300).map(str),
+                   st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-0", "x", ""]))
+_GOOD_DOCS = st.lists(_GOOD_ENTRY, max_size=4).map(json.dumps).map(_Doc)
+_COCO_DOCS = st.one_of(
+    _GOOD_DOCS,
+    st.lists(st.one_of(_GOOD_ENTRY, _FUZZED_ENTRY, _JSON_SCALARS), max_size=4).map(json.dumps),
+    st.sampled_from(["", "[", "{}", "null", "[1]", "[" * 5000 + "]" * 5000]),
+).map(_Doc)
+
 _ARGV = st.one_of(
     _flags([("--width", _NUMBERS), ("--height", _NUMBERS), ("--patch-w", _NUMBERS),
             ("--patch-h", _NUMBERS)]).map(lambda f: ["clap-plan", *f]),
@@ -187,6 +215,13 @@ _ARGV = st.one_of(
     _PAIRS.map(lambda image: ["boost-table", "--image", image, "--sizes", "2x2,4x4"]),
     _flags([("--gamma", _NUMBERS), ("--betas", _listed(_NUMBERS))]).map(
         lambda f: ["boost-table", "--image", "8x8", "--sizes", "2x2,4x4,8x8", *f]),
+    st.one_of(
+        _flags([("--in", _COCO_DOCS), ("--threshold", _NUMBERS), ("--edges", _listed(_NUMBERS))]),
+        # a document and default flags, so the ingest itself is reached often
+        _COCO_DOCS.map(lambda doc: ["--in", doc]),
+        # a valid document with any edges, so the statistics are reached often
+        st.tuples(_GOOD_DOCS, _listed(_EDGES)).map(lambda de: ["--in", de[0], "--edges", de[1]]),
+    ).map(lambda f: ["score-stats", *f]),
 )
 
 
@@ -201,20 +236,44 @@ def _table_is_whole(text):
     )
 
 
-@given(_ARGV)
-@settings(max_examples=400, deadline=None)
-def test_cli_exits_0_1_or_2_and_prints_no_nan(argv):
+def _nan_only_in_empty_buckets(text):
+    """score-stats output whose only nan is the documented mean of an empty
+    bucket."""
+    lines = text.splitlines()
+    if len(lines) < 3 or "nan" in lines[0] + lines[1]:
+        return False
+    rows = [line.rsplit(",", 2) for line in lines[2:]]  # a bucket label holds a comma
+    return all(len(row) == 3 and "nan" not in row[0] + row[1]
+               and (row[2] == "nan") == (row[1] == "0") for row in rows)
+
+
+def _captured_main(argv):
+    """Exit code, stdout and stderr of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_ARGV)
+@settings(max_examples=1000, deadline=None)
+def test_cli_exits_0_1_or_2_and_prints_no_nan(tmp_path_factory, argv):
+    doc_path = tmp_path_factory.getbasetemp() / "score_stats_in.json"
+    for doc in (a for a in argv if isinstance(a, _Doc)):
+        doc_path.write_text(doc)
+    argv = [str(doc_path) if isinstance(a, _Doc) else a for a in argv]
+    code, out, err = _captured_main(argv)
     assert code in (0, 1, 2)
     if code == 0:
-        assert "nan" not in out.getvalue()
+        if argv[0] == "score-stats":
+            assert _nan_only_in_empty_buckets(out)
+        else:
+            assert "nan" not in out
         if argv[0] == "boost-table":
-            assert _table_is_whole(out.getvalue())
+            assert _table_is_whole(out)
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("sodkit: ") and err.getvalue().count("\n") == 1
+        assert out == ""
+        assert err.startswith("sodkit: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags,needle", [
@@ -290,3 +349,29 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("800,800,224,224,4,4,38,38,")
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("width = 800\nheight = 600\npatch-w = 224\npatch-h = 224\n")
+    calls = [
+        ["clap-plan", "--width", "800", "--height"],  # CliError mid-parse: no value
+        ["boost-table", "--sizes", "2x2,8x8"],
+        ["clap-plan", "--config", str(cfg)],
+        ["score-stats", "--threshold", "0.4", "--bogus", "1"],
+        ["cctm-check", "--seed", "3"],
+        ["frobnicate"],
+        ["clap-plan", "--config", str(cfg), "--width", "1024"],
+    ]
+    build_parser()
+    reused = [_captured_main(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_captured_main(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 1, 0, 1, 0]

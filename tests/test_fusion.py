@@ -423,6 +423,17 @@ def test_params_validate_rejects_inconsistent_extents():
         p.validate()
 
 
+@pytest.mark.parametrize("ln_eps", [-1.0, 0.0, math.nan, math.inf])
+def test_params_validate_rejects_non_positive_or_non_finite_ln_eps(ln_eps):
+    p = CCTMParams.random(3, make_rng(57))
+    p.ln_eps = ln_eps
+    with pytest.raises(DimensionError, match="ln_eps"):
+        p.validate()
+    e = make_rng(58).standard_normal((1, 3, 4))
+    with pytest.raises(DimensionError, match="ln_eps"):
+        cctm_forward(e, e, p)
+
+
 def test_forward_rejects_channel_mismatch():
     p = CCTMParams.random(3, make_rng(52))
     e = make_rng(53).standard_normal((1, 4, 5))

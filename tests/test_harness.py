@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodkit import harness, make_rng
 from sodkit.boost import BoostConfig, boost_loss, boost_loss_grad, focal_loss, focal_loss_grad
 from sodkit.errors import DimensionError, DomainError, ParseError, TrainingError
 from sodkit.harness import (
     BUCKET_NAMES,
+    Detections,
     FixedSizeMlpWeights,
     RunConfig,
     _boost_grad_vec,
@@ -234,19 +237,32 @@ def test_train_focal_ignores_beta():
     assert a.final_loss == b.final_loss
 
 
+def assert_columns(dets, image_id, category_id, bbox, score):
+    """dets holds exactly these rows, with the documented dtypes and shapes."""
+    n = len(score)
+    for col, dtype, shape in ((dets.image_id, np.int64, (n,)),
+                              (dets.category_id, np.int64, (n,)),
+                              (dets.bbox, np.float64, (n, 4)),
+                              (dets.score, np.float64, (n,))):
+        assert col.dtype == dtype and col.shape == shape
+    assert dets.image_id.tolist() == image_id
+    assert dets.category_id.tolist() == category_id
+    assert dets.bbox.tolist() == [list(b) for b in bbox]
+    assert dets.score.tolist() == score
+
+
 def test_ingest_empty_array(tmp_path):
     path = tmp_path / "r.json"
     path.write_text("[]")
-    assert ingest_coco_results(str(path)) == []
+    assert_columns(ingest_coco_results(str(path)), [], [], [], [])
 
 
 def test_ingest_round_trip(tmp_path):
     entry = {"image_id": 3, "category_id": 17, "bbox": [1.5, 2.0, 10.0, 4.0], "score": 0.75}
     path = tmp_path / "r.json"
     path.write_text(json.dumps([entry]))
-    (det,) = ingest_coco_results(str(path))
-    assert det.image_id == 3 and det.category_id == 17
-    assert det.bbox == (1.5, 2.0, 10.0, 4.0) and det.score == 0.75
+    dets = ingest_coco_results(str(path))
+    assert_columns(dets, [3], [17], [(1.5, 2.0, 10.0, 4.0)], [0.75])
 
 
 @pytest.mark.parametrize("entry,needle", [
@@ -272,11 +288,146 @@ def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
     assert "entry 1" in str(info.value)
 
 
-def make_dets(rows):
-    from sodkit.harness import Detection
+def _ingest_reference(raw):
+    """The entry-by-entry ingest that built one Detection per entry, frozen
+    here as the reference, with the int64 id rule added as its last check:
+    (image_id, category_id, bbox, score) rows, or the first entry's
+    ParseError."""
+    if not isinstance(raw, list):
+        raise ParseError("top-level value must be a JSON array")
+    out = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ParseError("entry is not an object", index=i)
+        for key in ("image_id", "category_id", "bbox", "score"):
+            if key not in entry:
+                raise ParseError(f"missing key {key!r}", index=i)
+        bbox = entry["bbox"]
+        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+            raise ParseError(f"bbox must be a 4-element array, got {bbox!r}", index=i)
+        try:
+            bbox = tuple(float(v) for v in bbox)
+            score = float(entry["score"])
+            image_id = int(entry["image_id"])
+            category_id = int(entry["category_id"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"non-numeric field: {exc}", index=i) from None
+        if not all(map(math.isfinite, bbox)):
+            raise ParseError(f"non-finite bbox value in {bbox}", index=i)
+        if bbox[2] < 0 or bbox[3] < 0:
+            raise ParseError(f"negative box extent in {bbox}", index=i)
+        if not 0.0 <= score <= 1.0:
+            raise ParseError(f"score {score} outside [0, 1]", index=i)
+        if not all(-(2**63) <= v < 2**63 for v in (image_id, category_id)):
+            raise ParseError(
+                f"id outside the int64 range: image_id={image_id}, category_id={category_id}",
+                index=i,
+            )
+        out.append((image_id, category_id, bbox, score))
+    return out
 
-    return [Detection(image_id=i, category_id=1, bbox=(0, 0, w, h), score=s)
-            for i, (w, h, s) in enumerate(rows)]
+
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**1100]),
+    st.floats(),  # NaN and +-inf serialize as the NaN and Infinity literals
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["3.5", "7", "-0", "0.5", "nan", "inf", "1e400", " 2 ", "x", ""]),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=5), max_leaves=8)
+_KEYS = ("image_id", "category_id", "bbox", "score")
+_GOOD_ENTRY = st.fixed_dictionaries({
+    "image_id": st.integers(0, 50),
+    "category_id": st.integers(1, 80),
+    "bbox": st.lists(st.floats(0, 500), min_size=4, max_size=4),
+    "score": st.floats(0, 1),
+})
+_ID_EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 9.3e18, -9.3e18, 3.7, -5,
+             True, "7", "3.5", math.inf, math.nan, None, []]
+_EDGE_VALUES = {
+    "image_id": _ID_EDGES,
+    "category_id": _ID_EDGES,
+    "score": [0.0, -0.0, 1.0, 1.0000000000000002, -0.5, 1.5, "0.5", "x",
+              math.nan, math.inf, True, None, 2**1100, []],
+    "bbox": [math.nan, math.inf, -math.inf, -0.0, -1.0, 1e308, "3.5", "x",
+             True, None, 2**1100, []],  # one coordinate of a box
+}
+
+
+def _replace_coordinate(bbox, k, value):
+    return [*bbox[:k], value, *bbox[k + 1:]]
+
+
+def _fuzz_field(entry, key):
+    """entry with the value of key replaced by an edge value or any value;
+    for bbox, also one coordinate replaced by an edge value."""
+    edge = st.sampled_from(_EDGE_VALUES[key])
+    if key == "bbox":
+        edge = st.tuples(st.integers(0, 3), edge).map(
+            lambda kv: _replace_coordinate(entry["bbox"], *kv))
+        value = st.one_of(edge, st.lists(_VALUES, max_size=6), _VALUES)
+    else:
+        value = st.one_of(edge, _VALUES)
+    return value.map(lambda v: {**entry, key: v})
+
+
+def _drop_field(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+_FUZZED_ENTRY = st.tuples(_GOOD_ENTRY, st.sampled_from(_KEYS)).flatmap(lambda ek: _fuzz_field(*ek))
+# mostly one fuzzed field, which may still be a good value; else a missing key
+# or an entry that is not an object
+_BAD_ENTRY = st.integers(0, 4).flatmap(lambda k: (
+    _FUZZED_ENTRY if k < 3
+    else st.tuples(_GOOD_ENTRY, st.sampled_from(_KEYS)).map(lambda ek: _drop_field(*ek)) if k == 3
+    else _VALUES
+))
+
+
+def _insert(entries, inserts):
+    entries = list(entries)
+    for pos, entry in inserts:
+        entries.insert(pos, entry)
+    return entries
+
+
+_ENTRIES = st.builds(_insert, st.lists(_GOOD_ENTRY, max_size=5),
+                     st.lists(st.tuples(st.integers(0, 5), _BAD_ENTRY), max_size=2))
+_NOT_ARRAYS = st.one_of(_VALUES, st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
+# one file in eight has any value or an object as its top level
+_COCO_TEXT = st.integers(0, 7).flatmap(lambda k: _NOT_ARRAYS if k == 7 else _ENTRIES).map(json.dumps)
+
+
+@given(text=_COCO_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_ingest_matches_per_entry_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "coco_results.json"
+    path.write_text(text)
+    try:
+        want = _ingest_reference(json.loads(text))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            ingest_coco_results(str(path))
+        assert (info.value.index, str(info.value)) == (exc.index, str(exc))
+        return
+    dets = ingest_coco_results(str(path))
+    image_id, category_id, bbox, score = [list(col) for col in zip(*want)] or [[]] * 4
+    assert_columns(dets, image_id, category_id, bbox, score)
+    # -0.0 == 0.0, so compare signs too: the values are the reference's bit for bit
+    assert np.signbit(dets.bbox).tolist() == [[math.copysign(1, v) < 0 for v in b] for b in bbox]
+    assert np.signbit(dets.score).tolist() == [math.copysign(1, v) < 0 for v in score]
+
+
+def make_dets(rows):
+    """Detections with boxes (0, 0, w, h) and scores s from (w, h, s) rows."""
+    n = len(rows)
+    wh_s = np.array(rows, dtype=np.float64).reshape(n, 3)
+    bbox = np.zeros((n, 4))
+    bbox[:, 2:] = wh_s[:, :2]
+    return Detections(image_id=np.arange(n, dtype=np.int64),
+                      category_id=np.ones(n, dtype=np.int64), bbox=bbox, score=wh_s[:, 2])
 
 
 def test_score_stats_hand_case():
@@ -306,19 +457,19 @@ def test_score_stats_counts_total_matches_threshold_filter():
     dets = make_dets([(float(rng.uniform(1, 400)), float(rng.uniform(1, 400)),
                        float(rng.uniform(0, 1))) for _ in range(300)])
     stats = score_stats(dets, threshold=0.4)
-    assert sum(stats.counts) == sum(1 for d in dets if d.score >= 0.4)
+    assert sum(stats.counts) == sum(1 for s in dets.score.tolist() if s >= 0.4)
 
 
 def _loop_score_stats(dets, threshold, edges):
     """One detection at a time, as a running per-bucket sum."""
     sums = [0.0] * len(edges)
     counts = [0] * len(edges)
-    for det in dets:
-        size = math.sqrt(det.bbox[2] * det.bbox[3])
-        if det.score < threshold or size < edges[0]:
+    for (_, _, w, h), score in zip(dets.bbox.tolist(), dets.score.tolist()):
+        size = math.sqrt(w * h)
+        if score < threshold or size < edges[0]:
             continue
         idx = int(np.searchsorted(edges[1:], size, side="right"))
-        sums[idx] += det.score
+        sums[idx] += score
         counts[idx] += 1
     return counts, [s / c if c else math.nan for s, c in zip(sums, counts)]
 
@@ -343,9 +494,9 @@ def test_score_stats_matches_running_loop(seed):
 
 def test_score_stats_validates_arguments():
     with pytest.raises(DomainError):
-        score_stats([], threshold=1.5)
+        score_stats(make_dets([]), threshold=1.5)
     with pytest.raises(DomainError):
-        score_stats([], threshold=0.5, bucket_edges=(0.0, 5.0, 5.0))
+        score_stats(make_dets([]), threshold=0.5, bucket_edges=(0.0, 5.0, 5.0))
 
 
 def test_fixed_size_mlp_identity():
