@@ -277,6 +277,8 @@ def test_ingest_round_trip(tmp_path):
      "non-finite"),
     ({"image_id": float("inf"), "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5},
      "numeric"),
+    ({"image_id": 2**63, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "int64"),
+    ({"image_id": 1, "category_id": -(2**63) - 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "int64"),
 ])
 def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
     good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
@@ -420,6 +422,21 @@ def test_ingest_matches_per_entry_reference(tmp_path_factory, text):
     assert np.signbit(dets.score).tolist() == [math.copysign(1, v) < 0 for v in score]
 
 
+def test_ingest_rejects_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        ingest_coco_results(str(path))
+
+
+def test_ingest_keeps_int64_extremes(tmp_path):
+    entry = {"image_id": 2**63 - 1, "category_id": -(2**63), "bbox": [0, 0, 1, 1], "score": 1}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([entry]))
+    assert_columns(ingest_coco_results(str(path)), [2**63 - 1], [-(2**63)],
+                   [(0.0, 0.0, 1.0, 1.0)], [1.0])
+
+
 def make_dets(rows):
     """Detections with boxes (0, 0, w, h) and scores s from (w, h, s) rows."""
     n = len(rows)
@@ -497,6 +514,9 @@ def test_score_stats_validates_arguments():
         score_stats(make_dets([]), threshold=1.5)
     with pytest.raises(DomainError):
         score_stats(make_dets([]), threshold=0.5, bucket_edges=(0.0, 5.0, 5.0))
+    for edges in [(math.nan,), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]:
+        with pytest.raises(DomainError, match="finite"):
+            score_stats(make_dets([]), threshold=0.5, bucket_edges=edges)
 
 
 def test_fixed_size_mlp_identity():
