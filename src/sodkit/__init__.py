@@ -40,7 +40,7 @@ from .harness import (
     Detections,
     FixedSizeMlpWeights,
     RunConfig,
-    SynthSample,
+    SynthData,
     fixed_size_mlp,
     ingest_coco_results,
     score_stats,
@@ -54,7 +54,6 @@ from .numeric import (
     make_rng,
     matmul,
     sigmoid,
-    split_rng,
     tensor,
 )
 from .tiling import PatchGrid, clap_apply, plan_grid, reassemble, split

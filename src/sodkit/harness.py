@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostConfig, BoxSample
+from .boost import BoostConfig
 from .errors import DimensionError, DomainError, ParseError, TrainingError
 from .numeric import make_rng, sigmoid, tensor
 
@@ -35,13 +35,29 @@ DEFAULT_STAT_EDGES = (0.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 _EMBED = make_rng(0x51ED).uniform(-2.0, 2.0, size=(FEATURE_DIM, 2))
 
 
-@dataclass(frozen=True)
-class SynthSample:
-    features: np.ndarray
-    y: int
-    h: float
-    w: float
-    size_bucket: str
+@dataclass(frozen=True, eq=False)
+class SynthData:
+    """The synthetic dataset as columns, one row per sample."""
+
+    features: np.ndarray  # float64 [n, FEATURE_DIM]
+    y: np.ndarray         # int64 [n]: 1 positive, 0 negative
+    sides: np.ndarray     # float64 [n, 2]: h, w in pixels
+    bucket: np.ndarray    # int64 [n]: indices into BUCKET_NAMES
+
+    def __post_init__(self):
+        n = self.y.size
+        shapes = {
+            "features": (self.features.shape, (n, FEATURE_DIM)),
+            "y": (self.y.shape, (n,)),
+            "sides": (self.sides.shape, (n, 2)),
+            "bucket": (self.bucket.shape, (n,)),
+        }
+        for name, (got, want) in shapes.items():
+            if got != want:
+                raise DimensionError(f"SynthData.{name} has shape {got}, expected {want}")
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +100,7 @@ def size_bucket(h: float, w: float) -> str:
     return BUCKET_NAMES[idx]
 
 
-_BUCKET_INDEX = {name: i for i, name in enumerate(BUCKET_NAMES)}
-
-
-def synth_dataset(seed: int, n: int) -> list[SynthSample]:
+def synth_dataset(seed: int, n: int) -> SynthData:
     """Deterministic synthetic dataset of n samples.
 
     Box sides are log-uniform in [2, 512] inside a virtual 1024 x 1024 image,
@@ -99,7 +112,7 @@ def synth_dataset(seed: int, n: int) -> list[SynthSample]:
     rng = make_rng(seed)
     lo, hi = np.log(SIDE_RANGE[0]), np.log(SIDE_RANGE[1])
     sides = np.exp(rng.uniform(lo, hi, size=(n, 2)))
-    y = (rng.uniform(size=n) < 0.5).astype(int)
+    y = (rng.uniform(size=n) < 0.5).astype(np.int64)
     side = np.sqrt(sides[:, 0] * sides[:, 1])
     sf = side / IMAGE_SIDE
     sigma = 0.25 * sf**-0.1
@@ -110,11 +123,8 @@ def synth_dataset(seed: int, n: int) -> list[SynthSample]:
         feats[neg] = rng.permuted(feats[neg], axis=1)
     # every sample's size_bucket(h, w) in one pass: np.sqrt and math.sqrt
     # round alike
-    buckets = np.searchsorted(BUCKET_EDGES[1:], side, side="right").tolist()
-    return [
-        SynthSample(features=feats[i], y=yi, h=h, w=w, size_bucket=BUCKET_NAMES[b])
-        for i, (yi, (h, w), b) in enumerate(zip(y.tolist(), sides.tolist(), buckets))
-    ]
+    bucket = np.searchsorted(BUCKET_EDGES[1:], side, side="right").astype(np.int64, copy=False)
+    return SynthData(features=feats, y=y, sides=sides, bucket=bucket)
 
 
 @dataclass
@@ -212,129 +222,101 @@ class _ToyModel:
         self.b1 -= lr * d_pre.sum(axis=0)
 
 
-# Vectorized twins of the scalar loss API, used only inside the trainer for
-# throughput; tests pin them to the scalar reference implementations.
+def _cls_loss_and_grad(p, pos, cs_hat, cs_beta, cfg: RunConfig, n: int):
+    """Classification loss of the configured loss, its gradient dL/dp and the
+    weight of each positive term, from one pass over p.
 
-def _clamp_vec(p):
-    return np.clip(p, 1e-12, 1.0 - 1e-12)
-
-
-def _pos_weight_vec(cs_hat, cs, alpha, beta, gamma):
-    return alpha * (1.0 - cs_hat**beta) ** gamma * cs**beta
-
-
-def _boost_terms_vec(p, y, cs_hat, cs, alpha, beta, gamma):
-    p = _clamp_vec(p)
-    pos = _pos_weight_vec(cs_hat, cs, alpha, beta, gamma) * np.log(p)
-    neg = (1.0 - alpha) * p**gamma * np.log(1.0 - p)
-    return np.where(y == 1, pos, neg)
-
-
-def _boost_grad_vec(p, y, cs_hat, cs, alpha, beta, gamma, n):
-    p = _clamp_vec(p)
-    pos = -_pos_weight_vec(cs_hat, cs, alpha, beta, gamma) / p
-    neg = -(1.0 - alpha) * (
-        gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)
-    )
-    return np.where(y == 1, pos, neg) / n
-
-
-def _focal_terms_vec(p, y, alpha, gamma):
-    p = _clamp_vec(p)
-    pos = alpha * (1.0 - p) ** gamma * np.log(p)
-    neg = (1.0 - alpha) * p**gamma * np.log(1.0 - p)
-    return np.where(y == 1, pos, neg)
-
-
-def _focal_grad_vec(p, y, alpha, gamma, n):
-    p = _clamp_vec(p)
-    pos = -alpha * (-gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) + (1.0 - p) ** gamma / p)
-    neg = -(1.0 - alpha) * (
-        gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)
-    )
-    return np.where(y == 1, pos, neg) / n
-
-
-def _cls_loss_vec(p, y, cs_hat, cs, cfg: RunConfig, n: int) -> float:
+    The loss is -sum(terms) / n. A positive's term is weight * log(p), with
+    weight alpha (1 - cs_hat^beta)^gamma cs^beta for boost (cs_beta holds
+    cs^beta; cs_hat is the predicted size factor) and alpha (1 - p)^gamma for
+    focal, where cs_hat and cs_beta go unused. A negative's term is
+    (1 - alpha) p^gamma log(1 - p). p is clamped to [1e-12, 1 - 1e-12]
+    first; pos is the boolean positive mask. Reordering the operands of any
+    expression changes the trainer's last bits, so tests compare the results
+    bit for bit with a reference copy of the per-quantity formulas."""
+    a, g = cfg.alpha, cfg.gamma
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    one_m = 1.0 - p
+    log_p = np.log(p)
+    log1m = np.log(one_m)
+    pg = p**g
     if cfg.loss == "boost":
-        terms = _boost_terms_vec(p, y, cs_hat, cs, cfg.alpha, cfg.beta, cfg.gamma)
+        weight = a * (1.0 - cs_hat**cfg.beta) ** g * cs_beta
+        pos_grad = -weight / p
     else:
-        terms = _focal_terms_vec(p, y, cfg.alpha, cfg.gamma)
-    return -float(terms.sum()) / n
+        one_m_g = one_m**g
+        weight = a * one_m_g
+        pos_grad = -a * (-g * one_m ** (g - 1.0) * log_p + one_m_g / p)
+    terms = np.where(pos, weight * log_p, (1.0 - a) * pg * log1m)
+    grad = np.where(pos, pos_grad, -(1.0 - a) * (g * p ** (g - 1.0) * log1m - pg / one_m))
+    return -float(terms.sum()) / n, grad / n, weight
 
 
-def train_toy(data: list[SynthSample], cfg: RunConfig) -> TrainMetrics:
+def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     """Full-batch gradient descent on the toy model; classification gradient
     comes from the configured loss, the box head from squared error on the
     log-scale extents of positives. cfg.epochs == 0 evaluates the freshly
-    initialized model."""
+    initialized model. data is only read."""
     cfg.validate()
-    x = np.stack([s.features for s in data], out=_line_aligned_empty((len(data), FEATURE_DIM)))
-    y = np.array([s.y for s in data])
-    gt = np.array([[s.h, s.w] for s in data])
-    gt_t = _encode_sides(gt)
-    cs = np.where(y == 1, np.sqrt(gt[:, 0] * gt[:, 1]) / IMAGE_SIDE, 0.0)
-    pos = y == 1
+    n = len(data)
+    x = _line_aligned_empty((n, FEATURE_DIM))
+    np.copyto(x, data.features)
+    gt = data.sides
+    pos = data.y == 1
     n_pos = max(1, int(pos.sum()))
+    # run-invariant targets: the encoded sides of positives and cs^beta
+    gt_t_pos = _encode_sides(gt)[pos]
+    cs = np.where(pos, np.sqrt(gt[:, 0] * gt[:, 1]) / IMAGE_SIDE, 0.0)
+    cs_beta = cs**cfg.beta
 
     model = _ToyModel(make_rng(cfg.seed))
     # the epoch's [n, HIDDEN_DIM] arrays, made once: each step reads hidden
     # before the next forward overwrites it
-    hidden, d_pre, scratch = (_line_aligned_empty((len(data), HIDDEN_DIM)) for _ in range(3))
+    hidden, d_pre, scratch = (_line_aligned_empty((n, HIDDEN_DIM)) for _ in range(3))
+    d_t = np.zeros((n, 2))  # box-loss gradient; rows of negatives stay 0
 
-    def total_loss(p, t_hat):
-        sides = _decode_sides(t_hat)
-        cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
-        cls = _cls_loss_vec(p, y, cs_hat, cs, cfg, n_pos)
-        box = float(((t_hat[pos] - gt_t[pos]) ** 2).sum()) / n_pos
-        return cls + box
+    def evaluate(p, t_hat):
+        """Loss of one forward's outputs, dL/dp, the positive weights and the
+        box residuals t_hat - gt_t of positives."""
+        cs_hat = None
+        if cfg.loss == "boost":
+            sides = _decode_sides(t_hat)
+            cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
+        cls, d_p, weight = _cls_loss_and_grad(p, pos, cs_hat, cs_beta, cfg, n_pos)
+        resid = t_hat[pos] - gt_t_pos
+        return cls + float((resid**2).sum()) / n_pos, d_p, weight, resid
 
     # non-finite intermediates are expected on the way to the loss guard
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p, t_hat = model.forward(x, hidden)
-        loss = total_loss(p, t_hat)
+        loss, d_p, weight, resid = evaluate(p, t_hat)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss at epoch 0", epoch=0)
         for epoch in range(cfg.epochs):
-            sides = _decode_sides(t_hat)
-            cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
-            if cfg.loss == "boost":
-                d_p = _boost_grad_vec(p, y, cs_hat, cs, cfg.alpha, cfg.beta, cfg.gamma, n_pos)
-            else:
-                d_p = _focal_grad_vec(p, y, cfg.alpha, cfg.gamma, n_pos)
             d_z = d_p * p * (1.0 - p)
-
-            d_t = np.zeros_like(t_hat)
-            d_t[pos] = 2.0 * (t_hat[pos] - gt_t[pos]) / n_pos
+            d_t[pos] = 2.0 * resid / n_pos
             d_box_raw = d_t * t_hat * (1.0 - t_hat)
 
             model.step(x, hidden, d_z, d_box_raw, cfg.lr, d_pre, scratch)
-            # this forward also feeds the next epoch's step
+            # this forward's loss gradient feeds the next epoch's step
             p, t_hat = model.forward(x, hidden)
-            loss = total_loss(p, t_hat)
+            loss, d_p, weight, resid = evaluate(p, t_hat)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
 
-    bucket = np.array([_BUCKET_INDEX[s.size_bucket] for s in data])
-    return _metrics(bucket, pos, p, t_hat, cs, cfg, loss)
+    return _metrics(data.bucket, pos, p, weight, cfg, loss)
 
 
-def _metrics(bucket, pos, p, t_hat, cs, cfg, final_loss) -> TrainMetrics:
-    """Per-bucket metrics from the final model's outputs p and t_hat, for
-    samples in buckets bucket (indices into BUCKET_NAMES) with positives
-    where pos is true."""
-    sides = _decode_sides(t_hat)
-    cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
-    if cfg.loss == "boost":
-        weights = _pos_weight_vec(cs_hat, cs, cfg.alpha, cfg.beta, cfg.gamma)
-    else:
-        weights = cfg.alpha * (1.0 - _clamp_vec(p)) ** cfg.gamma
+def _metrics(bucket, pos, p, weight, cfg, final_loss) -> TrainMetrics:
+    """Per-bucket metrics from the final model's class probabilities p and the
+    weight of each sample's positive term, for samples in buckets bucket
+    (indices into BUCKET_NAMES) with positives where pos is true."""
     k = len(BUCKET_NAMES)
     # bincount adds in input order, as a running per-bucket sum would
     counts = np.bincount(bucket, minlength=k).tolist()
     hits = np.bincount(bucket[pos & (p >= 0.5)], minlength=k).tolist()
     wcnt = np.bincount(bucket[pos], minlength=k).tolist()
-    wsum = np.bincount(bucket[pos], weights=weights[pos], minlength=k).tolist()
+    wsum = np.bincount(bucket[pos], weights=weight[pos], minlength=k).tolist()
     def per_positive(totals):
         return {k: t / c if c else float("nan") for k, t, c in zip(BUCKET_NAMES, totals, wcnt)}
 
@@ -342,24 +324,6 @@ def _metrics(bucket, pos, p, t_hat, cs, cfg, final_loss) -> TrainMetrics:
         cfg=cfg, final_loss=final_loss, bucket_counts=dict(zip(BUCKET_NAMES, counts)),
         bucket_recall=per_positive(hits), bucket_mean_weight=per_positive(wsum),
     )
-
-
-def model_box_samples(data: list[SynthSample], cfg: RunConfig) -> list[BoxSample]:
-    """Box samples from the initialized toy model, for cross-checking the
-    vectorized training path against the scalar loss API."""
-    x = np.stack([s.features for s in data])
-    model = _ToyModel(make_rng(cfg.seed))
-    p, t_hat = model.forward(x, np.empty((len(data), HIDDEN_DIM)))
-    sides = _decode_sides(t_hat)
-    return [
-        BoxSample(
-            H=IMAGE_SIDE, W=IMAGE_SIDE, h=s.h, w=s.w, y=s.y,
-            p=float(p[i]),
-            h_hat=float(sides[i, 0]),
-            w_hat=float(sides[i, 1]),
-        )
-        for i, s in enumerate(data)
-    ]
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1

@@ -25,15 +25,10 @@ def tensor(data) -> np.ndarray:
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64). Same seed, same stream, any platform.
 
-    The generator is single-owner mutable state; for concurrent use derive
-    independent streams with ``split_rng`` instead of sharing one instance.
+    The generator is single-owner mutable state: give each concurrent user
+    its own generator instead of sharing one instance.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def split_rng(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent child generators derived from one seed."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def matmul(a, b) -> np.ndarray:

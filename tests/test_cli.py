@@ -165,6 +165,8 @@ _NUMBERS = st.one_of(
     st.integers(-3, 1100).map(str),
     st.sampled_from(["0", "-0", "1.5", "0.05", "nan", "-nan", "inf", "-inf", "1e400", "", "x"]),
 )
+# loss parameters: the fuzzed numbers, and values inside the domains too
+_LOSS_NUMBERS = st.one_of(_NUMBERS, st.floats(0.0, 1.0).map(repr))
 _PAIRS = st.one_of(st.tuples(_NUMBERS, _NUMBERS).map("x".join), st.sampled_from(["8", "8x"]))
 
 
@@ -222,6 +224,31 @@ _ARGV = st.one_of(
         # a valid document with any edges, so the statistics are reached often
         st.tuples(_GOOD_DOCS, _listed(_EDGES)).map(lambda de: ["--in", de[0], "--edges", de[1]]),
     ).map(lambda f: ["score-stats", *f]),
+    # tiny runs, always with --n and --epochs so the defaults (5000 samples,
+    # 200 epochs) are never trained
+    st.one_of(
+        st.tuples(
+            st.one_of(st.integers(-1, 50).map(str), st.just("x")),
+            st.one_of(st.integers(-1, 3).map(str), st.just("x")),
+            _flags([("--loss", st.sampled_from(["boost", "focal", "hinge", ""])),
+                    ("--alpha", _LOSS_NUMBERS), ("--beta", _LOSS_NUMBERS),
+                    ("--gamma", _LOSS_NUMBERS), ("--lr", _LOSS_NUMBERS),
+                    ("--seed", st.integers(0, 999).map(str))]),
+        ),
+        # parameters inside their domains (an infinite rate included), so
+        # training itself is reached often
+        st.tuples(
+            st.integers(1, 50).map(str),
+            st.integers(0, 3).map(str),
+            _flags([("--loss", st.sampled_from(["boost", "focal"])),
+                    ("--alpha", st.floats(0.0, 1.0).map(repr)),
+                    ("--beta", st.floats(0.0, 1.0, exclude_min=True).map(repr)),
+                    ("--gamma", st.floats(0.0, 8.0).map(repr)),
+                    ("--lr", st.one_of(st.floats(1e-6, 1e6).map(repr),
+                                       st.sampled_from(["1e300", "inf"]))),
+                    ("--seed", st.integers(0, 999).map(str))]),
+        ),
+    ).map(lambda t: ["boost-train", "--n", t[0], "--epochs", t[1], *t[2]]),
 )
 
 
@@ -247,6 +274,20 @@ def _nan_only_in_empty_buckets(text):
                and (row[2] == "nan") == (row[1] == "0") for row in rows)
 
 
+def _train_csv_is_whole(text):
+    """boost-train output: the schema line, the column header and one row per
+    bucket; nan only in the recall and mean-weight cells, and there together
+    (a bucket without positives)."""
+    lines = text.splitlines()
+    if len(lines) != 7 or not lines[0].startswith("# boost-train ") or "nan" in lines[0]:
+        return False
+    if lines[1] != "bucket,count,recall,mean_positive_weight":
+        return False
+    rows = [line.split(",") for line in lines[2:]]
+    return all(len(row) == 4 and "nan" not in row[0] + row[1]
+               and (row[2] == "nan") == (row[3] == "nan") for row in rows)
+
+
 def _captured_main(argv):
     """Exit code, stdout and stderr of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
@@ -256,7 +297,7 @@ def _captured_main(argv):
 
 
 @given(_ARGV)
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=2000, deadline=None)
 def test_cli_exits_0_1_or_2_and_prints_no_nan(tmp_path_factory, argv):
     doc_path = tmp_path_factory.getbasetemp() / "score_stats_in.json"
     for doc in (a for a in argv if isinstance(a, _Doc)):
@@ -267,6 +308,8 @@ def test_cli_exits_0_1_or_2_and_prints_no_nan(tmp_path_factory, argv):
     if code == 0:
         if argv[0] == "score-stats":
             assert _nan_only_in_empty_buckets(out)
+        elif argv[0] == "boost-train":
+            assert _train_csv_is_whole(out)
         else:
             assert "nan" not in out
         if argv[0] == "boost-table":

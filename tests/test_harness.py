@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodkit import harness, make_rng
-from sodkit.boost import BoostConfig, boost_loss, boost_loss_grad, focal_loss, focal_loss_grad
+from sodkit.boost import (
+    BoostConfig, BoxSample, boost_loss, boost_loss_grad, focal_loss, focal_loss_grad,
+)
 from sodkit.errors import DimensionError, DomainError, ParseError, TrainingError
 from sodkit.harness import (
     BUCKET_NAMES,
+    IMAGE_SIDE,
     Detections,
     FixedSizeMlpWeights,
     RunConfig,
-    _boost_grad_vec,
-    _boost_terms_vec,
-    _focal_grad_vec,
-    _focal_terms_vec,
+    SynthData,
     fixed_size_mlp,
     ingest_coco_results,
-    model_box_samples,
     score_stats,
     size_bucket,
     synth_dataset,
@@ -34,30 +33,40 @@ GOLDEN_BUCKET_COUNTS = {
     "very_tiny": 12568, "tiny": 15491, "small": 21821, "medium": 32020, "large": 18100,
 }
 
+_COLUMNS = ("features", "y", "sides", "bucket")
+
+
+def assert_synth_columns(data, n):
+    """data holds n rows, with the documented dtypes and shapes."""
+    assert len(data) == n
+    for col, dtype, shape in ((data.features, np.float64, (n, 16)), (data.y, np.int64, (n,)),
+                              (data.sides, np.float64, (n, 2)), (data.bucket, np.int64, (n,))):
+        assert col.dtype == dtype and col.shape == shape
+
 
 def test_synth_deterministic():
     a = synth_dataset(7, 50)
     b = synth_dataset(7, 50)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.features, sb.features)
-        assert (sa.y, sa.h, sa.w, sa.size_bucket) == (sb.y, sb.h, sb.w, sb.size_bucket)
+    for col in _COLUMNS:
+        assert np.array_equal(getattr(a, col), getattr(b, col))
     c = synth_dataset(8, 50)
-    assert any(not np.array_equal(sa.features, sc.features) for sa, sc in zip(a, c))
+    assert not np.array_equal(a.features, c.features)
 
 
 def test_synth_single_sample_in_range():
-    (s,) = synth_dataset(0, 1)
-    assert s.features.shape == (16,)
-    assert s.y in (0, 1)
-    assert 2.0 <= s.h <= 512.0 and 2.0 <= s.w <= 512.0
-    assert s.size_bucket in BUCKET_NAMES
+    data = synth_dataset(0, 1)
+    assert_synth_columns(data, 1)
+    assert data.y[0] in (0, 1)
+    ((h, w),) = data.sides.tolist()
+    assert 2.0 <= h <= 512.0 and 2.0 <= w <= 512.0
+    assert 0 <= data.bucket[0] < len(BUCKET_NAMES)
 
 
 def test_synth_golden_bucket_counts():
     data = synth_dataset(42, 100_000)
     counts = {name: 0 for name in BUCKET_NAMES}
-    for s in data:
-        counts[s.size_bucket] += 1
+    for b in data.bucket.tolist():
+        counts[BUCKET_NAMES[b]] += 1
     assert counts == GOLDEN_BUCKET_COUNTS
     assert all(v > 0 for v in counts.values())
 
@@ -76,23 +85,170 @@ def test_size_bucket_edges():
 @pytest.mark.parametrize("seed", [0, 3, 42])
 def test_synth_buckets_match_size_bucket(seed, n):
     data = synth_dataset(seed, n)
-    assert len(data) == n
-    assert all(s.size_bucket == size_bucket(s.h, s.w) for s in data)
+    assert_synth_columns(data, n)
+    assert all(BUCKET_NAMES[b] == size_bucket(h, w)
+               for b, (h, w) in zip(data.bucket.tolist(), data.sides.tolist()))
+
+
+# y sets the row count, so a y of another length is reported as the first
+# column that disagrees with it
+@pytest.mark.parametrize("column,shape,reported", [
+    ("features", (5, 15), "features"), ("features", (4, 16), "features"),
+    ("features", (5,), "features"),
+    ("y", (4,), "features"), ("y", (6,), "features"), ("y", (5, 1), "y"),
+    ("sides", (4, 2), "sides"), ("sides", (5, 3), "sides"),
+    ("bucket", (4,), "bucket"), ("bucket", (6,), "bucket"),
+])
+def test_synth_data_rejects_inconsistent_columns(column, shape, reported):
+    data = synth_dataset(3, 5)
+    bad = np.zeros(shape, dtype=getattr(data, column).dtype)
+    with pytest.raises(DimensionError, match=rf"SynthData\.{reported} has shape"):
+        dataclasses.replace(data, **{column: bad})
+
+
+# A frozen copy of the trainer's per-quantity loss functions as they stood
+# before train_toy evaluated the loss and its gradient in one pass: the
+# reference harness._cls_loss_and_grad must match bit for bit.
+
+def _ref_clamp(p):
+    return np.clip(p, 1e-12, 1.0 - 1e-12)
+
+
+def _ref_pos_weight(cs_hat, cs, alpha, beta, gamma):
+    return alpha * (1.0 - cs_hat**beta) ** gamma * cs**beta
+
+
+def _ref_boost_terms(p, y, cs_hat, cs, alpha, beta, gamma):
+    p = _ref_clamp(p)
+    pos = _ref_pos_weight(cs_hat, cs, alpha, beta, gamma) * np.log(p)
+    neg = (1.0 - alpha) * p**gamma * np.log(1.0 - p)
+    return np.where(y == 1, pos, neg)
+
+
+def _ref_boost_grad(p, y, cs_hat, cs, alpha, beta, gamma, n):
+    p = _ref_clamp(p)
+    pos = -_ref_pos_weight(cs_hat, cs, alpha, beta, gamma) / p
+    neg = -(1.0 - alpha) * (
+        gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)
+    )
+    return np.where(y == 1, pos, neg) / n
+
+
+def _ref_focal_terms(p, y, alpha, gamma):
+    p = _ref_clamp(p)
+    pos = alpha * (1.0 - p) ** gamma * np.log(p)
+    neg = (1.0 - alpha) * p**gamma * np.log(1.0 - p)
+    return np.where(y == 1, pos, neg)
+
+
+def _ref_focal_grad(p, y, alpha, gamma, n):
+    p = _ref_clamp(p)
+    pos = -alpha * (-gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) + (1.0 - p) ** gamma / p)
+    neg = -(1.0 - alpha) * (
+        gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)
+    )
+    return np.where(y == 1, pos, neg) / n
+
+
+def _ref_weight(p, cs_hat, cs, cfg):
+    """The positive-term weight, as the per-bucket metrics computed it."""
+    if cfg.loss == "boost":
+        return _ref_pos_weight(cs_hat, cs, cfg.alpha, cfg.beta, cfg.gamma)
+    return cfg.alpha * (1.0 - _ref_clamp(p)) ** cfg.gamma
+
+
+def _ref_loss_grad_weight(p, y, cs_hat, cs, cfg, n):
+    a, b, g = cfg.alpha, cfg.beta, cfg.gamma
+    if cfg.loss == "boost":
+        terms = _ref_boost_terms(p, y, cs_hat, cs, a, b, g)
+        grad = _ref_boost_grad(p, y, cs_hat, cs, a, b, g, n)
+    else:
+        terms = _ref_focal_terms(p, y, a, g)
+        grad = _ref_focal_grad(p, y, a, g, n)
+    return -float(terms.sum()) / n, grad, _ref_weight(p, cs_hat, cs, cfg)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+_P_SPECIALS = [0.0, 1.0, 1e-13, 1.0 - 1e-13, 1e-12, 0.5]
+_SIZE_FACTORS = st.floats(2.0 / IMAGE_SIDE, 0.5)
+
+
+@given(
+    rows=st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0), st.sampled_from(_P_SPECIALS)),
+                            st.integers(0, 1), _SIZE_FACTORS, _SIZE_FACTORS), max_size=40),
+    loss=st.sampled_from(["boost", "focal"]),
+    alpha=st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.0)),
+    # products with a power-of-two gamma are exact in any order, so general
+    # values are drawn too
+    beta=st.one_of(st.sampled_from([1.0, 0.05, 0.3]), st.floats(0.0, 1.0, exclude_min=True)),
+    gamma=st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 4.0)),
+    n=st.integers(1, 100),
+)
+@settings(max_examples=300, deadline=None)
+def test_cls_loss_and_grad_matches_reference_bit_for_bit(rows, loss, alpha, beta, gamma, n):
+    # every special probability appears as a positive and as a negative
+    rows = rows + [(p, y, 0.01, 0.02) for p in _P_SPECIALS for y in (0, 1)]
+    p, y, cs_hat, size = (np.array(col) for col in zip(*rows))
+    cs = np.where(y == 1, size, 0.0)
+    cfg = RunConfig(loss=loss, alpha=alpha, beta=beta, gamma=gamma)
+    boost = loss == "boost"
+    got = harness._cls_loss_and_grad(p, y == 1, cs_hat if boost else None, cs**beta, cfg, n)
+    want = _ref_loss_grad_weight(p, y, cs_hat, cs, cfg, n)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def model_box_samples(data: SynthData, cfg: RunConfig) -> list[BoxSample]:
+    """Box samples from the freshly initialized toy model, for checking the
+    trainer's loss against the scalar loss API."""
+    model = harness._ToyModel(make_rng(cfg.seed))
+    p, t_hat = model.forward(data.features, np.empty((len(data), harness.HIDDEN_DIM)))
+    sides = harness._decode_sides(t_hat)
+    return [
+        BoxSample(H=IMAGE_SIDE, W=IMAGE_SIDE, h=h, w=w, y=yi, p=float(p[i]),
+                  h_hat=float(sides[i, 0]), w_hat=float(sides[i, 1]))
+        for i, (yi, (h, w)) in enumerate(zip(data.y.tolist(), data.sides.tolist()))
+    ]
+
+
+def test_vectorized_losses_match_scalar_api():
+    data = synth_dataset(11, 200)
+    cfg = RunConfig(loss="boost", alpha=0.25, beta=0.1, gamma=2.0, seed=11, n=200)
+    samples = model_box_samples(data, cfg)
+    p = np.array([s.p for s in samples])
+    pos = np.array([s.y for s in samples]) == 1
+    cs = np.array([math.sqrt((s.h / s.H) * (s.w / s.W)) * s.y for s in samples])
+    cs_hat = np.array([math.sqrt((s.h_hat / s.H) * (s.w_hat / s.W)) for s in samples])
+
+    bcfg = BoostConfig(alpha=0.25, beta=0.1, gamma=2.0, N=37)
+    loss, grad, _ = harness._cls_loss_and_grad(p, pos, cs_hat, cs**0.1, cfg, 37)
+    assert math.isclose(loss, boost_loss(samples, bcfg), rel_tol=1e-14)
+    assert np.allclose(grad, boost_loss_grad(samples, bcfg), rtol=1e-14, atol=0)
+
+    focal = dataclasses.replace(cfg, loss="focal")
+    loss, grad, _ = harness._cls_loss_and_grad(p, pos, None, cs**0.1, focal, 37)
+    assert math.isclose(loss, focal_loss(samples, 0.25, 2.0, n=37), rel_tol=1e-14)
+    assert np.allclose(grad, focal_loss_grad(samples, 0.25, 2.0, n=37), rtol=1e-14, atol=0)
 
 
 def _loop_metrics(data, p, weights):
-    """Per-bucket counts, recall and mean positive weight, one sample at a
-    time, as running sums."""
+    """Per-bucket counts, recall and mean positive weight, one row at a time,
+    as running sums."""
     counts = {name: 0 for name in BUCKET_NAMES}
     hits = dict(counts)
     wcnt = dict(counts)
     wsum = {name: 0.0 for name in BUCKET_NAMES}
-    for i, s in enumerate(data):
-        counts[s.size_bucket] += 1
-        if s.y == 1:
-            hits[s.size_bucket] += int(p[i] >= 0.5)
-            wcnt[s.size_bucket] += 1
-            wsum[s.size_bucket] += float(weights[i])
+    for i in range(len(data)):
+        name = BUCKET_NAMES[data.bucket[i]]
+        counts[name] += 1
+        if data.y[i] == 1:
+            hits[name] += int(p[i] >= 0.5)
+            wcnt[name] += 1
+            wsum[name] += float(weights[i])
     recall = {k: hits[k] / wcnt[k] if wcnt[k] else math.nan for k in BUCKET_NAMES}
     mean_w = {k: wsum[k] / wcnt[k] if wcnt[k] else math.nan for k in BUCKET_NAMES}
     return counts, recall, mean_w
@@ -111,25 +267,23 @@ def _same(a, b):
 def test_train_metrics_match_per_sample_loop(monkeypatch, loss, beta, seed, n, negatives_only):
     data = synth_dataset(seed, n)
     if negatives_only:
-        data = [dataclasses.replace(s, y=0) for s in data]
+        data = dataclasses.replace(data, y=np.zeros_like(data.y))
     seen = {}
-    metrics = harness._metrics
+    forward = harness._ToyModel.forward
 
-    def spy(bucket, pos, p, t_hat, cs, cfg, final_loss):
-        seen.update(p=p, t_hat=t_hat, cs=cs)
-        return metrics(bucket, pos, p, t_hat, cs, cfg, final_loss)
+    def spy(self, x, hidden):
+        seen["p"], seen["t_hat"] = out = forward(self, x, hidden)
+        return out
 
-    monkeypatch.setattr(harness, "_metrics", spy)
+    # the last forward's outputs are the final model's
+    monkeypatch.setattr(harness._ToyModel, "forward", spy)
     cfg = RunConfig(loss=loss, beta=beta, epochs=5, seed=seed, n=n)
     got = train_toy(data, cfg)
 
     p, sides = seen["p"], harness._decode_sides(seen["t_hat"])
-    cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / harness.IMAGE_SIDE
-    if loss == "boost":
-        weights = harness._pos_weight_vec(cs_hat, seen["cs"], cfg.alpha, beta, cfg.gamma)
-    else:
-        weights = cfg.alpha * (1.0 - harness._clamp_vec(p)) ** cfg.gamma
-    counts, recall, mean_w = _loop_metrics(data, p, weights)
+    cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
+    cs = np.sqrt(data.sides[:, 0] * data.sides[:, 1]) / IMAGE_SIDE * data.y
+    counts, recall, mean_w = _loop_metrics(data, p, _ref_weight(p, cs_hat, cs, cfg))
     assert got.bucket_counts == counts
     assert _same(got.bucket_recall, recall)
     assert _same(got.bucket_mean_weight, mean_w)
@@ -139,11 +293,11 @@ def test_train_metrics_match_per_sample_loop(monkeypatch, loss, beta, seed, n, n
 
 def test_train_twice_is_identical_and_leaves_data_unchanged():
     data = synth_dataset(11, 300)
-    before = [s.features.copy() for s in data]
+    before = {col: getattr(data, col).copy() for col in _COLUMNS}
     cfg = RunConfig(loss="boost", beta=0.05, epochs=15, seed=11, n=300)
     first = train_toy(data, cfg).csv_lines()
     assert train_toy(data, cfg).csv_lines() == first
-    assert all(np.array_equal(s.features, f) for s, f in zip(data, before))
+    assert all(np.array_equal(getattr(data, col), v) for col, v in before.items())
 
 
 @pytest.mark.parametrize("shape", [(0, 32), (1, 16), (7, 32), (2000, 32), (2000, 16)])
@@ -162,30 +316,9 @@ def test_line_aligned_empty_starts_on_a_cache_line(shape):
 
 def test_train_toy_rejects_features_of_the_wrong_length():
     data = synth_dataset(3, 5)
-    bad = [dataclasses.replace(s, features=s.features[:-1]) for s in data]
-    with pytest.raises(ValueError):
-        train_toy(bad, RunConfig(epochs=1, seed=3, n=5))
-
-
-def test_vectorized_losses_match_scalar_api():
-    data = synth_dataset(11, 200)
-    cfg = RunConfig(loss="boost", alpha=0.25, beta=0.1, gamma=2.0, seed=11, n=200)
-    samples = model_box_samples(data, cfg)
-    p = np.array([s.p for s in samples])
-    y = np.array([s.y for s in samples])
-    cs = np.array([math.sqrt((s.h / s.H) * (s.w / s.W)) * s.y for s in samples])
-    cs_hat = np.array([math.sqrt((s.h_hat / s.H) * (s.w_hat / s.W)) for s in samples])
-
-    bcfg = BoostConfig(alpha=0.25, beta=0.1, gamma=2.0, N=37)
-    vec = -float(_boost_terms_vec(p, y, cs_hat, cs, 0.25, 0.1, 2.0).sum()) / 37
-    assert math.isclose(vec, boost_loss(samples, bcfg), rel_tol=1e-14)
-    gv = _boost_grad_vec(p, y, cs_hat, cs, 0.25, 0.1, 2.0, 37)
-    assert np.allclose(gv, boost_loss_grad(samples, bcfg), rtol=1e-14, atol=0)
-
-    vec = -float(_focal_terms_vec(p, y, 0.25, 2.0).sum()) / 37
-    assert math.isclose(vec, focal_loss(samples, 0.25, 2.0, n=37), rel_tol=1e-14)
-    gv = _focal_grad_vec(p, y, 0.25, 2.0, 37)
-    assert np.allclose(gv, focal_loss_grad(samples, 0.25, 2.0, n=37), rtol=1e-14, atol=0)
+    with pytest.raises(DimensionError, match=r"SynthData\.features has shape"):
+        train_toy(dataclasses.replace(data, features=data.features[:, :-1]),
+                  RunConfig(epochs=1, seed=3, n=5))
 
 
 def test_train_zero_epochs_reproducible():
@@ -209,15 +342,18 @@ def test_train_rejects_bad_config():
 
 def test_train_divergence_raises_with_epoch():
     # bounded activations keep the toy model finite under any finite step, so
-    # the guard is exercised with a corrupted sample
-    from sodkit.harness import SynthSample
-
+    # the guard is exercised with a corrupted sample: a positive whose
+    # features are all inf
     data = synth_dataset(6, 100)
-    bad = SynthSample(features=np.full(16, np.inf), y=1, h=10.0, w=10.0,
-                      size_bucket="tiny")
+    bad = SynthData(
+        features=np.vstack([data.features, np.full((1, 16), np.inf)]),
+        y=np.append(data.y, 1),
+        sides=np.vstack([data.sides, [[10.0, 10.0]]]),
+        bucket=np.append(data.bucket, BUCKET_NAMES.index("tiny")),
+    )
     cfg = RunConfig(loss="focal", epochs=5, lr=0.5, seed=6, n=101)
     with pytest.raises(TrainingError) as info:
-        train_toy(data + [bad], cfg)
+        train_toy(bad, cfg)
     assert info.value.epoch == 0
 
 

@@ -217,15 +217,6 @@ def test_rng_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_split_rng_streams_are_deterministic_and_distinct():
-    from sodkit import split_rng
-
-    a1, a2 = (g.standard_normal(4) for g in split_rng(99, 2))
-    b1, b2 = (g.standard_normal(4) for g in split_rng(99, 2))
-    assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
-    assert not np.array_equal(a1, a2)
-
-
 def test_layer_norm_rejects_non_positive_eps():
     from sodkit.errors import DomainError
 

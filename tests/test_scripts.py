@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
      "dataset: seed=42 n=200; training: epochs=2 lr=0.5"),
     ("fault_count.py", ["--shape", "1,3,5", "--ops", "3"],
      "call,shape,ops,median_minor_faults,tracemalloc_peak_mib"),
+    ("train_digest.py", ["--quick"], "cases,sha256"),
 ])
 def test_script_runs(script, args, header):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
