@@ -52,7 +52,6 @@ from .numeric import (
     gelu,
     layer_norm,
     make_rng,
-    matmul,
     sigmoid,
     tensor,
 )

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .errors import DomainError
 
 P_CLAMP = 1e-12
@@ -102,11 +104,64 @@ def positive_weight(cs_hat: float, cs: float, cfg: BoostConfig) -> float:
     """Weight on -log(p) for a positive: alpha (1 - cs_hat^beta)^gamma cs^beta."""
     if not (0.0 <= cs_hat <= 1.0 and 0.0 <= cs <= 1.0):
         raise DomainError(f"size factors must lie in [0, 1], got {cs_hat}, {cs}")
-    return cfg.alpha * (1.0 - cs_hat**cfg.beta) ** cfg.gamma * cs**cfg.beta
+    return _positive_weight(cs_hat, cs**cfg.beta, cfg)
 
 
-def _clamp(p: float) -> float:
-    return min(max(p, P_CLAMP), 1.0 - P_CLAMP)
+def _positive_weight(cs_hat, cs_beta, cfg: BoostConfig):
+    """alpha (1 - cs_hat^beta)^gamma cs^beta, with cs^beta given as cs_beta."""
+    return cfg.alpha * (1.0 - cs_hat**cfg.beta) ** cfg.gamma * cs_beta
+
+
+def _cls_loss_and_grad(p, pos, cs_hat, cs_beta, cfg: BoostConfig):
+    """Loss, its gradient dL/dp and the weight of each positive term, from
+    one pass over the probability array p; pos is the boolean positive mask.
+
+    The loss is -sum(terms) / N. A positive's term is weight * log(p), with
+    weight alpha (1 - cs_hat^beta)^gamma cs^beta for the boost loss (cs_hat
+    holds the predicted size factors, cs_beta holds cs^beta; both go unused
+    for negatives) and alpha (1 - p)^gamma for the focal loss, chosen by
+    passing cs_hat=None. A negative's term is (1 - alpha) p^gamma log(1 - p).
+    p is clamped to [P_CLAMP, 1 - P_CLAMP] first. Reordering the operands of
+    any expression changes the toy trainer's last bits, so tests compare the
+    results bit for bit with a reference copy of the per-quantity formulas."""
+    a, g = cfg.alpha, cfg.gamma
+    p = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    one_m = 1.0 - p
+    log_p = np.log(p)
+    log1m = np.log(one_m)
+    pg = p**g
+    if cs_hat is not None:
+        weight = _positive_weight(cs_hat, cs_beta, cfg)
+        pos_grad = -weight / p
+    else:
+        one_m_g = one_m**g
+        weight = a * one_m_g
+        pos_grad = -a * (-g * one_m ** (g - 1.0) * log_p + one_m_g / p)
+    terms = np.where(pos, weight * log_p, (1.0 - a) * pg * log1m)
+    grad = np.where(pos, pos_grad, -(1.0 - a) * (g * p ** (g - 1.0) * log1m - pg / one_m))
+    return -float(terms.sum()) / cfg.N, grad / cfg.N, weight
+
+
+def _columns(samples: list[BoxSample]):
+    """p and the positive mask of a non-empty sample list."""
+    if not samples:
+        raise DomainError("empty sample list")
+    return np.array([s.p for s in samples]), np.array([s.y == 1 for s in samples])
+
+
+def _boost(samples: list[BoxSample], cfg: BoostConfig):
+    p, pos = _columns(samples)
+    # size factors of positives only; negatives' boxes are never checked
+    cs_hat = np.array([cs_pred(s) if s.y == 1 else 0.0 for s in samples])
+    cs = np.array([cs_label(s) for s in samples])
+    return _cls_loss_and_grad(p, pos, cs_hat, cs**cfg.beta, cfg)
+
+
+def _focal(samples: list[BoxSample], alpha: float, gamma: float, n: int | None):
+    p, pos = _columns(samples)
+    if n is None:
+        n = max(1, int(pos.sum()))
+    return _cls_loss_and_grad(p, pos, None, None, BoostConfig(alpha=alpha, gamma=gamma, N=n))
 
 
 def boost_loss(samples: list[BoxSample], cfg: BoostConfig) -> float:
@@ -115,78 +170,30 @@ def boost_loss(samples: list[BoxSample], cfg: BoostConfig) -> float:
     Positives contribute -alpha (1 - cs_hat^beta)^gamma cs^beta log(p);
     negatives contribute -(1 - alpha) p^gamma log(1 - p).
     """
-    if not samples:
-        raise DomainError("empty sample list")
-    total = 0.0
-    for s in samples:
-        p = _clamp(s.p)
-        if s.y == 1:
-            total += positive_weight(cs_pred(s), cs_label(s), cfg) * math.log(p)
-        else:
-            total += (1.0 - cfg.alpha) * p**cfg.gamma * math.log(1.0 - p)
-    return -total / cfg.N
+    return _boost(samples, cfg)[0]
 
 
 def boost_loss_grad(samples: list[BoxSample], cfg: BoostConfig) -> list[float]:
     """dL/dp per sample; size factors are constants w.r.t. p (no gradient
     flows into box extents)."""
-    if not samples:
-        raise DomainError("empty sample list")
-    grads = []
-    for s in samples:
-        p = _clamp(s.p)
-        if s.y == 1:
-            g = -positive_weight(cs_pred(s), cs_label(s), cfg) / p
-        else:
-            g = -(1.0 - cfg.alpha) * (
-                cfg.gamma * p ** (cfg.gamma - 1.0) * math.log(1.0 - p)
-                - p**cfg.gamma / (1.0 - p)
-            )
-        grads.append(g / cfg.N)
-    return grads
+    return _boost(samples, cfg)[1].tolist()
 
 
 def focal_loss(samples: list[BoxSample], alpha: float, gamma: float, n: int | None = None) -> float:
     """Alpha-balanced focal baseline with the identical negative term.
 
     The reduction count defaults to the number of positives (at least 1);
-    pass n explicitly to match a BoostConfig.N.
+    pass n explicitly to match a BoostConfig.N. alpha, gamma and n are
+    checked as BoostConfig checks them.
     """
-    if not samples:
-        raise DomainError("empty sample list")
-    if n is None:
-        n = max(1, sum(s.y for s in samples))
-    total = 0.0
-    for s in samples:
-        p = _clamp(s.p)
-        if s.y == 1:
-            total += alpha * (1.0 - p) ** gamma * math.log(p)
-        else:
-            total += (1.0 - alpha) * p**gamma * math.log(1.0 - p)
-    return -total / n
+    return _focal(samples, alpha, gamma, n)[0]
 
 
 def focal_loss_grad(
     samples: list[BoxSample], alpha: float, gamma: float, n: int | None = None
 ) -> list[float]:
     """dL/dp per sample for the focal baseline."""
-    if not samples:
-        raise DomainError("empty sample list")
-    if n is None:
-        n = max(1, sum(s.y for s in samples))
-    grads = []
-    for s in samples:
-        p = _clamp(s.p)
-        if s.y == 1:
-            g = -alpha * (
-                -gamma * (1.0 - p) ** (gamma - 1.0) * math.log(p) + (1.0 - p) ** gamma / p
-            )
-        else:
-            g = -(1.0 - alpha) * (
-                gamma * p ** (gamma - 1.0) * math.log(1.0 - p) - p**gamma / (1.0 - p)
-            )
-        grads.append(g / n)
-    return grads
+    return _focal(samples, alpha, gamma, n)[1].tolist()
 
 
 def round4(x: float) -> float:

@@ -308,11 +308,19 @@ def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
     _check_bcl(E, B)
     p.validate()
     _check_channels(E, p)
-    ge = _grn_state(E, p.grn_gamma, p.grn_beta, p.grn_eps)
-    gb = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
-    logit_e, _ = _mlp_state(ge.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
-    logit_b, _ = _mlp_state(gb.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
-    return sigmoid(logit_e) * sigmoid(logit_b)
+    return _cross_gate_state(E, B, p)[0]
+
+
+def _cross_gate_state(e1, B, p: CCTMParams):
+    """The second-step gate of the streams e1 and B, then the GRN and MLP
+    states and the sigmoid maps of each stream that the backward needs."""
+    grn_e = _grn_state(e1, p.grn_gamma, p.grn_beta, p.grn_eps)
+    grn_b = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
+    logit_e, mlp_e = _mlp_state(grn_e.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
+    logit_b, mlp_b = _mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
+    sig_e = sigmoid(logit_e)
+    sig_b = sigmoid(logit_b)
+    return sig_e * sig_b, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b
 
 
 def cross_second(E, B, gate) -> np.ndarray:
@@ -339,13 +347,7 @@ def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p)
     e_cross1 = E + B * (1.0 - e_prime)
 
-    grn_e = _grn_state(e_cross1, p.grn_gamma, p.grn_beta, p.grn_eps)
-    grn_b = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
-    logit_e, mlp_e = _mlp_state(grn_e.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
-    logit_b, mlp_b = _mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
-    sig_e = sigmoid(logit_e)
-    sig_b = sigmoid(logit_b)
-    gate = sig_e * sig_b
+    gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = _cross_gate_state(e_cross1, B, p)
     e_cf = 2.0 * e_cross1 * gate + B * (1.0 - gate)
 
     acts = CCTMActivations(

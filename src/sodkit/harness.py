@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import BoostConfig
+from .boost import BoostConfig, _cls_loss_and_grad
 from .errors import DimensionError, DomainError, ParseError, TrainingError
 from .numeric import make_rng, sigmoid, tensor
 
@@ -222,36 +222,6 @@ class _ToyModel:
         self.b1 -= lr * d_pre.sum(axis=0)
 
 
-def _cls_loss_and_grad(p, pos, cs_hat, cs_beta, cfg: RunConfig, n: int):
-    """Classification loss of the configured loss, its gradient dL/dp and the
-    weight of each positive term, from one pass over p.
-
-    The loss is -sum(terms) / n. A positive's term is weight * log(p), with
-    weight alpha (1 - cs_hat^beta)^gamma cs^beta for boost (cs_beta holds
-    cs^beta; cs_hat is the predicted size factor) and alpha (1 - p)^gamma for
-    focal, where cs_hat and cs_beta go unused. A negative's term is
-    (1 - alpha) p^gamma log(1 - p). p is clamped to [1e-12, 1 - 1e-12]
-    first; pos is the boolean positive mask. Reordering the operands of any
-    expression changes the trainer's last bits, so tests compare the results
-    bit for bit with a reference copy of the per-quantity formulas."""
-    a, g = cfg.alpha, cfg.gamma
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    one_m = 1.0 - p
-    log_p = np.log(p)
-    log1m = np.log(one_m)
-    pg = p**g
-    if cfg.loss == "boost":
-        weight = a * (1.0 - cs_hat**cfg.beta) ** g * cs_beta
-        pos_grad = -weight / p
-    else:
-        one_m_g = one_m**g
-        weight = a * one_m_g
-        pos_grad = -a * (-g * one_m ** (g - 1.0) * log_p + one_m_g / p)
-    terms = np.where(pos, weight * log_p, (1.0 - a) * pg * log1m)
-    grad = np.where(pos, pos_grad, -(1.0 - a) * (g * p ** (g - 1.0) * log1m - pg / one_m))
-    return -float(terms.sum()) / n, grad / n, weight
-
-
 def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     """Full-batch gradient descent on the toy model; classification gradient
     comes from the configured loss, the box head from squared error on the
@@ -264,6 +234,7 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     gt = data.sides
     pos = data.y == 1
     n_pos = max(1, int(pos.sum()))
+    loss_cfg = BoostConfig(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, N=n_pos)
     # run-invariant targets: the encoded sides of positives and cs^beta
     gt_t_pos = _encode_sides(gt)[pos]
     cs = np.where(pos, np.sqrt(gt[:, 0] * gt[:, 1]) / IMAGE_SIDE, 0.0)
@@ -282,7 +253,7 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
         if cfg.loss == "boost":
             sides = _decode_sides(t_hat)
             cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
-        cls, d_p, weight = _cls_loss_and_grad(p, pos, cs_hat, cs_beta, cfg, n_pos)
+        cls, d_p, weight = _cls_loss_and_grad(p, pos, cs_hat, cs_beta, loss_cfg)
         resid = t_hat[pos] - gt_t_pos
         return cls + float((resid**2).sum()) / n_pos, d_p, weight, resid
 
@@ -327,13 +298,17 @@ def _metrics(bucket, pos, p, weight, cfg, final_loss) -> TrainMetrics:
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# float() takes these, but a COCO number is a JSON number
+_NOT_NUMBERS = frozenset((str, bool))
 
 
 def ingest_coco_results(path: str) -> Detections:
     """Parse a COCO results JSON array into columns; malformed entries raise
     ParseError carrying the entry index. Each entry is checked in one pass,
-    in order, so the first bad entry is the one reported; an id outside the
-    int64 range is malformed."""
+    in order, so the first bad entry is the one reported. Values are not
+    coerced: a bbox value or score that is a string or a boolean is
+    malformed, and so is an id that is not a JSON integer or lies outside the
+    int64 range."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -349,15 +324,26 @@ def ingest_coco_results(path: str) -> Detections:
         for key in ("image_id", "category_id", "bbox", "score"):
             if key not in entry:
                 raise ParseError(f"missing key {key!r}", index=i)
-        bbox = entry["bbox"]
+        bbox, score = entry["bbox"], entry["score"]
+        image_id, category_id = entry["image_id"], entry["category_id"]
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise ParseError(f"bbox must be a 4-element array, got {bbox!r}", index=i)
+        if not _NOT_NUMBERS.isdisjoint({type(score), *map(type, bbox)}):
+            raise ParseError(
+                f"non-numeric field: bbox values and score must be JSON numbers, "
+                f"got bbox={bbox!r}, score={score!r}",
+                index=i,
+            )
+        if type(image_id) is not int or type(category_id) is not int:
+            raise ParseError(
+                f"id is not a JSON integer (numeric values are not coerced): "
+                f"image_id={image_id!r}, category_id={category_id!r}",
+                index=i,
+            )
         try:
             bbox = tuple(map(float, bbox))
-            score = float(entry["score"])
-            image_id = int(entry["image_id"])
-            category_id = int(entry["category_id"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            score = float(score)
+        except (TypeError, OverflowError) as exc:
             raise ParseError(f"non-numeric field: {exc}", index=i) from None
         x, y, w, h = bbox
         if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):

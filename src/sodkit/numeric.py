@@ -31,17 +31,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of a [m, k] by b [k, n]."""
-    a = tensor(a)
-    b = tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def layer_norm(x, gamma, beta, eps: float = DEFAULT_LN_EPS) -> np.ndarray:
     """Normalize over the last axis (population variance), then apply the
     per-channel affine gamma * xhat + beta."""

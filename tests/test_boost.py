@@ -169,6 +169,18 @@ def test_focal_positive_scalar_oracle():
     assert abs(loss - 0.043322) < 1e-6
 
 
+@pytest.mark.parametrize("fn", [focal_loss, focal_loss_grad])
+@pytest.mark.parametrize("alpha,gamma,n", [
+    (math.nan, 2.0, None), (1.5, 2.0, None), (-0.1, 2.0, None),
+    (0.25, -3.0, None), (0.25, math.inf, None), (0.25, math.nan, 1),
+    (0.25, 2.0, 0), (0.25, 2.0, -2),
+])
+def test_focal_rejects_parameters_outside_the_loss_domain(fn, alpha, gamma, n):
+    samples = [sample(y=1, p=0.5), sample(y=0, p=0.3)]
+    with pytest.raises(DomainError):
+        fn(samples, alpha, gamma, n=n)
+
+
 def test_focal_confident_positive_vanishes():
     assert focal_loss([sample(y=1, p=1.0 - 1e-12)], 0.25, 2.0) < 1e-12
 

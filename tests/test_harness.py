@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sodkit import harness, make_rng
 from sodkit.boost import (
-    BoostConfig, BoxSample, boost_loss, boost_loss_grad, focal_loss, focal_loss_grad,
+    BoostConfig, BoxSample, _cls_loss_and_grad, boost_loss, boost_loss_grad, focal_loss,
+    focal_loss_grad,
 )
 from sodkit.errors import DimensionError, DomainError, ParseError, TrainingError
 from sodkit.harness import (
@@ -108,7 +109,7 @@ def test_synth_data_rejects_inconsistent_columns(column, shape, reported):
 
 # A frozen copy of the trainer's per-quantity loss functions as they stood
 # before train_toy evaluated the loss and its gradient in one pass: the
-# reference harness._cls_loss_and_grad must match bit for bit.
+# reference boost._cls_loss_and_grad must match bit for bit.
 
 def _ref_clamp(p):
     return np.clip(p, 1e-12, 1.0 - 1e-12)
@@ -195,7 +196,8 @@ def test_cls_loss_and_grad_matches_reference_bit_for_bit(rows, loss, alpha, beta
     cs = np.where(y == 1, size, 0.0)
     cfg = RunConfig(loss=loss, alpha=alpha, beta=beta, gamma=gamma)
     boost = loss == "boost"
-    got = harness._cls_loss_and_grad(p, y == 1, cs_hat if boost else None, cs**beta, cfg, n)
+    loss_cfg = BoostConfig(alpha=alpha, beta=beta, gamma=gamma, N=n)
+    got = _cls_loss_and_grad(p, y == 1, cs_hat if boost else None, cs**beta, loss_cfg)
     want = _ref_loss_grad_weight(p, y, cs_hat, cs, cfg, n)
     for g, w in zip(got, want):
         assert np.shape(g) == np.shape(w)
@@ -225,12 +227,11 @@ def test_vectorized_losses_match_scalar_api():
     cs_hat = np.array([math.sqrt((s.h_hat / s.H) * (s.w_hat / s.W)) for s in samples])
 
     bcfg = BoostConfig(alpha=0.25, beta=0.1, gamma=2.0, N=37)
-    loss, grad, _ = harness._cls_loss_and_grad(p, pos, cs_hat, cs**0.1, cfg, 37)
+    loss, grad, _ = _cls_loss_and_grad(p, pos, cs_hat, cs**0.1, bcfg)
     assert math.isclose(loss, boost_loss(samples, bcfg), rel_tol=1e-14)
     assert np.allclose(grad, boost_loss_grad(samples, bcfg), rtol=1e-14, atol=0)
 
-    focal = dataclasses.replace(cfg, loss="focal")
-    loss, grad, _ = harness._cls_loss_and_grad(p, pos, None, cs**0.1, focal, 37)
+    loss, grad, _ = _cls_loss_and_grad(p, pos, None, None, bcfg)
     assert math.isclose(loss, focal_loss(samples, 0.25, 2.0, n=37), rel_tol=1e-14)
     assert np.allclose(grad, focal_loss_grad(samples, 0.25, 2.0, n=37), rtol=1e-14, atol=0)
 
@@ -415,6 +416,14 @@ def test_ingest_round_trip(tmp_path):
      "numeric"),
     ({"image_id": 2**63, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "int64"),
     ({"image_id": 1, "category_id": -(2**63) - 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "int64"),
+    ({"image_id": 3.7, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "JSON integer"),
+    ({"image_id": 3.0, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "JSON integer"),
+    ({"image_id": 1, "category_id": True, "bbox": [1, 2, 3, 4], "score": 0.5}, "JSON integer"),
+    ({"image_id": "7", "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5}, "JSON integer"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, 2, 3, 4], "score": "0.5"}, "JSON numbers"),
+    ({"image_id": 1, "category_id": 1, "bbox": ["0", 2, 3, 4], "score": 0.5}, "JSON numbers"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, 2, True, 4], "score": 0.5}, "JSON numbers"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, 2, 3, 4], "score": False}, "JSON numbers"),
 ])
 def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
     good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
@@ -428,7 +437,9 @@ def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
 
 def _ingest_reference(raw):
     """The entry-by-entry ingest that built one Detection per entry, frozen
-    here as the reference, with the int64 id rule added as its last check:
+    here as the reference, with the int64 id rule added as its last check
+    and the rule against coercion (a string or boolean bbox value or score,
+    an id that is not a JSON integer) added before its conversions:
     (image_id, category_id, bbox, score) rows, or the first entry's
     ParseError."""
     if not isinstance(raw, list):
@@ -443,6 +454,18 @@ def _ingest_reference(raw):
         bbox = entry["bbox"]
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise ParseError(f"bbox must be a 4-element array, got {bbox!r}", index=i)
+        if any(isinstance(v, (str, bool)) for v in (*bbox, entry["score"])):
+            raise ParseError(
+                f"non-numeric field: bbox values and score must be JSON numbers, "
+                f"got bbox={bbox!r}, score={entry['score']!r}",
+                index=i,
+            )
+        if not all(type(entry[key]) is int for key in ("image_id", "category_id")):
+            raise ParseError(
+                f"id is not a JSON integer (numeric values are not coerced): "
+                f"image_id={entry['image_id']!r}, category_id={entry['category_id']!r}",
+                index=i,
+            )
         try:
             bbox = tuple(float(v) for v in bbox)
             score = float(entry["score"])

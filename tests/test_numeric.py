@@ -7,43 +7,9 @@ from hypothesis import strategies as st
 
 from scipy.special import erf
 
-from sodkit import finite_diff_grad, gelu, layer_norm, make_rng, matmul, sigmoid
+from sodkit import finite_diff_grad, gelu, layer_norm, make_rng, sigmoid
 from sodkit.numeric import _gelu_grad_from_cdf, gelu_grad
 from sodkit.errors import DimensionError, EvaluationError
-
-
-def test_matmul_identity():
-    eye = np.eye(2)
-    b = np.array([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(matmul(eye, b), b)
-
-
-def test_matmul_hand_dot_product():
-    out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_zero_annihilates():
-    z = np.zeros((3, 4))
-    b = make_rng(0).standard_normal((4, 2))
-    assert np.array_equal(matmul(z, b), np.zeros((3, 2)))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_associative_on_random_chains():
-    rng = make_rng(7)
-    for _ in range(50):
-        a = rng.standard_normal((4, 5))
-        b = rng.standard_normal((5, 3))
-        c = rng.standard_normal((3, 6))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.allclose(left, right, rtol=1e-10, atol=1e-12)
 
 
 def test_layer_norm_constant_vector_is_zero():
@@ -223,7 +189,3 @@ def test_layer_norm_rejects_non_positive_eps():
     with pytest.raises(DomainError):
         layer_norm(np.ones(3), np.ones(3), np.zeros(3), eps=0.0)
 
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(DimensionError):
-        matmul(np.ones(3), np.ones((3, 2)))
