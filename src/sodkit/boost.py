@@ -73,7 +73,8 @@ class BoostConfig:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.N < 1:
+        # a count: a whole number >= 1, so nan, inf, 2.5 and booleans fail
+        if isinstance(self.N, (bool, np.bool_)) or not (self.N >= 1 and self.N % 1 == 0):
             raise DomainError(f"N must be a positive integer, got {self.N}")
 
 

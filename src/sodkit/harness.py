@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -304,11 +306,11 @@ _NOT_NUMBERS = frozenset((str, bool))
 
 def ingest_coco_results(path: str) -> Detections:
     """Parse a COCO results JSON array into columns; malformed entries raise
-    ParseError carrying the entry index. Each entry is checked in one pass,
-    in order, so the first bad entry is the one reported. Values are not
-    coerced: a bbox value or score that is a string or a boolean is
-    malformed, and so is an id that is not a JSON integer or lies outside the
-    int64 range."""
+    ParseError carrying the entry index. A valid file is checked in
+    whole-column passes; a file that fails them is walked entry by entry, so
+    the first bad entry is the one reported. Values are not coerced: a bbox
+    value or score that is a string or a boolean is malformed, and so is an
+    id that is not a JSON integer or lies outside the int64 range."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -316,7 +318,49 @@ def ingest_coco_results(path: str) -> Detections:
             raise ParseError("JSON nested too deeply") from None
     if not isinstance(raw, list):
         raise ParseError("top-level value must be a JSON array")
-    image_ids, category_ids, boxes, scores = [], [], [], []
+    dets = _checked_columns(raw)
+    if dets is None:
+        _raise_first_bad_entry(raw)
+    return dets
+
+
+def _checked_columns(raw: list) -> Detections | None:
+    """The entries of raw as columns if every column check passes, else None.
+    The checks accept exactly the entries that _raise_first_bad_entry does."""
+    if not set(map(type, raw)) <= {dict}:
+        return None
+    try:
+        image_ids = [e["image_id"] for e in raw]
+        category_ids = [e["category_id"] for e in raw]
+        bboxes = [e["bbox"] for e in raw]
+        scores = [e["score"] for e in raw]
+    except KeyError:
+        return None
+    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
+        return None
+    values = list(chain.from_iterable(bboxes))
+    if not (set(map(type, values)).union(map(type, scores)) <= {int, float}
+            and set(map(type, image_ids)).union(map(type, category_ids)) <= {int}):
+        return None
+    try:  # an id outside int64, or an integer too large for a float
+        dets = Detections(
+            image_id=np.array(image_ids, dtype=np.int64),
+            category_id=np.array(category_ids, dtype=np.int64),
+            bbox=np.array(values, dtype=np.float64).reshape(-1, 4),
+            score=np.array(scores, dtype=np.float64),
+        )
+    except OverflowError:
+        return None
+    bbox, score = dets.bbox, dets.score
+    if not (np.isfinite(bbox).all() and (bbox[:, 2:] >= 0.0).all()
+            and ((score >= 0.0) & (score <= 1.0)).all()):
+        return None
+    return dets
+
+
+def _raise_first_bad_entry(raw: list) -> NoReturn:
+    """Raise the ParseError of the first malformed entry of raw, checking one
+    entry at a time."""
     isfinite = math.isfinite
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -357,16 +401,7 @@ def ingest_coco_results(path: str) -> Detections:
                 f"id outside the int64 range: image_id={image_id}, category_id={category_id}",
                 index=i,
             )
-        image_ids.append(image_id)
-        category_ids.append(category_id)
-        boxes.extend(bbox)
-        scores.append(score)
-    return Detections(
-        image_id=np.array(image_ids, dtype=np.int64),
-        category_id=np.array(category_ids, dtype=np.int64),
-        bbox=np.array(boxes, dtype=np.float64).reshape(-1, 4),
-        score=np.array(scores, dtype=np.float64),
-    )
+    raise RuntimeError("ingest: the column checks rejected a file whose every entry is valid")
 
 
 @dataclass

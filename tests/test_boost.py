@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,23 @@ def test_focal_rejects_parameters_outside_the_loss_domain(fn, alpha, gamma, n):
     samples = [sample(y=1, p=0.5), sample(y=0, p=0.3)]
     with pytest.raises(DomainError):
         fn(samples, alpha, gamma, n=n)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda ss, n: BoostConfig(N=n),
+    lambda ss, n: focal_loss(ss, 0.25, 2.0, n=n),
+    lambda ss, n: focal_loss_grad(ss, 0.25, 2.0, n=n),
+], ids=["BoostConfig", "focal_loss", "focal_loss_grad"])
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 0.5, True, False, np.True_])
+def test_object_count_must_be_a_whole_number_at_least_1(fn, n):
+    samples = [sample(y=1, p=0.5), sample(y=0, p=0.3)]
+    with pytest.raises(DomainError, match="N must be a positive integer"):
+        fn(samples, n)
+
+
+@pytest.mark.parametrize("n", [1, 2.0, np.int64(7), 2**70])
+def test_object_count_accepts_whole_numbers(n):
+    assert BoostConfig(N=n).N == n
 
 
 def test_focal_confident_positive_vanishes():

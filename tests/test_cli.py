@@ -207,6 +207,42 @@ _COCO_DOCS = st.one_of(
     st.sampled_from(["", "[", "{}", "null", "[1]", "[" * 5000 + "]" * 5000]),
 ).map(_Doc)
 
+
+class _Cfg(bytes):
+    """A --config file's bytes in an argv: the test writes them to a file and
+    passes that file's path instead."""
+
+
+# tiny cctm-check problems (each extent <= 3), and malformed or empty shapes
+_SHAPES = st.one_of(
+    st.lists(st.integers(1, 3), min_size=3, max_size=3).map(lambda v: ",".join(map(str, v))),
+    st.lists(st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["", "x", " 2", "1.5"])),
+             max_size=4).map(",".join),
+)
+_SEEDS = st.one_of(st.integers(-1, 2**40).map(str), st.sampled_from(["", "x", "1e3", "-0"]))
+
+
+def _config(command, valid_lines, flags):
+    """argv running command on a config file of lines that are valid for it,
+    or of any mix of valid, unknown-key, malformed, non-UTF-8, comment and
+    blank lines; flags may override the file."""
+    line = st.one_of(
+        valid_lines,
+        st.sampled_from([b"wdith = 800", b"seed_ = 1", b"out put = x", b"loss = boost"]),
+        st.sampled_from([b"width 800", b"= 3", b"[clap-plan]", b"shape: 1,2,3", b"="]),
+        st.sampled_from([b"width = \xff", b"\xfe\xff", b"# caf\xe9", b"seed = 1\x80"]),
+        st.sampled_from([b"", b"# a comment", b"   "]),
+    )
+    lines = st.one_of(st.lists(valid_lines, max_size=5), st.lists(line, max_size=5))
+    return st.tuples(lines.map(b"\n".join).map(_Cfg), flags).map(
+        lambda cf: [command, "--config", cf[0], *cf[1]])
+
+
+def _key_lines(keys, values):
+    """`key = value` lines, the key spelled with '-' or '_' as the CLI allows."""
+    return st.tuples(st.sampled_from(keys), values).map(lambda kv: f"{kv[0]} = {kv[1]}".encode())
+
+
 _ARGV = st.one_of(
     _flags([("--width", _NUMBERS), ("--height", _NUMBERS), ("--patch-w", _NUMBERS),
             ("--patch-h", _NUMBERS)]).map(lambda f: ["clap-plan", *f]),
@@ -249,6 +285,20 @@ _ARGV = st.one_of(
                     ("--seed", st.integers(0, 999).map(str))]),
         ),
     ).map(lambda t: ["boost-train", "--n", t[0], "--epochs", t[1], *t[2]]),
+    _flags([("--seed", _SEEDS), ("--shape", _SHAPES)]).map(lambda f: ["cctm-check", *f]),
+    st.one_of(
+        _config("clap-plan",
+                _key_lines(["width", "height", "patch-w", "patch_w", "patch-h", "patch_h"],
+                           _NUMBERS),
+                _flags([("--width", _NUMBERS)])),
+        # all four keys with small valid values, so the plan itself is reached often
+        st.lists(st.integers(1, 300), min_size=4, max_size=4).map(lambda v: [
+            "clap-plan", "--config",
+            _Cfg(b"width = %d\nheight = %d\npatch-w = %d\npatch_h = %d\n" % tuple(v))]),
+        _config("cctm-check",
+                st.one_of(_key_lines(["seed"], _SEEDS), _key_lines(["shape"], _SHAPES)),
+                _flags([("--seed", _SEEDS)])),
+    ),
 )
 
 
@@ -296,13 +346,19 @@ def _captured_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# eight branches at about 333 examples each, as the six earlier ones had
 @given(_ARGV)
-@settings(max_examples=2000, deadline=None)
+@settings(max_examples=2667, deadline=None)
 def test_cli_exits_0_1_or_2_and_prints_no_nan(tmp_path_factory, argv):
     doc_path = tmp_path_factory.getbasetemp() / "score_stats_in.json"
-    for doc in (a for a in argv if isinstance(a, _Doc)):
-        doc_path.write_text(doc)
-    argv = [str(doc_path) if isinstance(a, _Doc) else a for a in argv]
+    cfg_path = tmp_path_factory.getbasetemp() / "options.cfg"
+    for a in argv:
+        if isinstance(a, _Doc):
+            doc_path.write_text(a)
+        elif isinstance(a, _Cfg):
+            cfg_path.write_bytes(a)
+    argv = [str(doc_path) if isinstance(a, _Doc) else str(cfg_path) if isinstance(a, _Cfg)
+            else a for a in argv]
     code, out, err = _captured_main(argv)
     assert code in (0, 1, 2)
     if code == 0:

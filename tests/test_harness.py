@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -594,6 +595,67 @@ def test_ingest_keeps_int64_extremes(tmp_path):
     path.write_text(json.dumps([entry]))
     assert_columns(ingest_coco_results(str(path)), [2**63 - 1], [-(2**63)],
                    [(0.0, 0.0, 1.0, 1.0)], [1.0])
+
+
+def _results_file(tmp_path, entries):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def _valid_entries(n):
+    return [{"image_id": j // 20, "category_id": 1 + j % 80,
+             "bbox": [j % 600, 0.5 * j, 1.25 + j % 400, 3], "score": (j % 101) / 100}
+            for j in range(n)]
+
+
+def test_ingest_reports_the_first_of_two_bad_entries(tmp_path):
+    entries = _valid_entries(1000)
+    entries[700] = {**entries[700], "score": 1.5}
+    entries[900] = {**entries[900], "bbox": [0, 0, -1, 1]}
+    with pytest.raises(ParseError) as want:
+        _ingest_reference(entries)
+    with pytest.raises(ParseError) as got:
+        ingest_coco_results(_results_file(tmp_path, entries))
+    assert want.value.index == 700
+    assert (got.value.index, str(got.value)) == (700, str(want.value))
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 2**63 + 12345, int(sys.float_info.max) - 2**900])
+def test_ingest_converts_large_integers_as_float_does(tmp_path, value):
+    entry = {"image_id": 1, "category_id": 1, "bbox": [value, 0, value, 1], "score": 1}
+    bbox = ingest_coco_results(_results_file(tmp_path, [entry])).bbox
+    assert bbox.tobytes() == np.array([[float(value), 0.0, float(value), 1.0]]).tobytes()
+
+
+def test_ingest_rejects_an_integer_too_large_for_a_float(tmp_path):
+    entries = _valid_entries(3)
+    entries[2]["bbox"][1] = 2**1100
+    with pytest.raises(ParseError, match="non-numeric field: int too large to convert") as info:
+        ingest_coco_results(_results_file(tmp_path, entries))
+    assert info.value.index == 2
+
+
+def test_ingest_accepts_extra_keys(tmp_path):
+    entries = [{**e, "segmentation": [[0, 0, 1, 1]], "area": 4.0} for e in _valid_entries(5)]
+    rows = _ingest_reference(_valid_entries(5))
+    image_id, category_id, bbox, score = [list(col) for col in zip(*rows)]
+    assert_columns(ingest_coco_results(_results_file(tmp_path, entries)),
+                   image_id, category_id, bbox, score)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+def test_ingest_columns_are_c_contiguous(tmp_path, n):
+    dets = ingest_coco_results(_results_file(tmp_path, _valid_entries(n)))
+    assert all(col.flags.c_contiguous
+               for col in (dets.image_id, dets.category_id, dets.bbox, dets.score))
+
+
+def test_ingest_fails_loudly_when_its_two_checks_disagree(tmp_path, monkeypatch):
+    # column checks that reject a valid file must not make it read as empty
+    monkeypatch.setattr(harness, "_checked_columns", lambda raw: None)
+    with pytest.raises(RuntimeError, match="column checks"):
+        ingest_coco_results(_results_file(tmp_path, _valid_entries(3)))
 
 
 def make_dets(rows):

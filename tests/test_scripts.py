@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("fault_count.py", ["--shape", "1,3,5", "--ops", "3"],
      "call,shape,ops,median_minor_faults,tracemalloc_peak_mib"),
     ("train_digest.py", ["--quick"], "cases,sha256"),
+    ("ingest_split.py", ["--entries", "50", "--calls", "3"], "stage,entries,calls,median_ms"),
 ])
 def test_script_runs(script, args, header):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
