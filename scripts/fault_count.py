@@ -3,10 +3,11 @@
 For one random problem of the given shape, runs cctm_forward then
 cctm_backward --ops times after 3 warm-up ops, and prints, for each of the
 two calls, the median number of minor page faults per op (the difference of
-getrusage(RUSAGE_SELF).ru_minflt around the call) and the peak of the memory
-that tracemalloc traces during one further call. numpy reports its data
-buffers to tracemalloc, so the peak repeats exactly from run to run, unlike
-faults or time.
+getrusage(RUSAGE_SELF).ru_minflt around the call), the peak of the memory
+that tracemalloc traces during one further call, and the median wall time
+per op, taken around the same calls as the faults, so that each time comes
+with its fault count. numpy reports its data buffers to tracemalloc, so the
+peak repeats exactly from run to run, unlike faults or time.
 
 The process runs with the allocator's default settings. Before each op,
 glibc's malloc_trim(0) hands the free pages that earlier ops left in the heap
@@ -29,6 +30,7 @@ import argparse
 import ctypes
 import resource
 import statistics
+import time
 import tracemalloc
 
 from sodkit import make_rng
@@ -38,8 +40,9 @@ WARMUP = 3
 _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
-def _minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _mark() -> tuple[float, int]:
+    """The time in ms and the process's minor-fault count."""
+    return time.perf_counter() * 1e3, resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _traced_peak(fn):
@@ -69,28 +72,30 @@ def main():
     p = CCTMParams.random(shape[1], rng)
     E, B, G = (rng.standard_normal(shape) for _ in range(3))
 
-    faults = {"cctm_forward": [], "cctm_backward": []}
+    # per call, the (ms, faults) of each measured op
+    costs = {"cctm_forward": [], "cctm_backward": []}
     for i in range(WARMUP + args.ops):
         if _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
-        f0 = _minflt()
+        t0, f0 = _mark()
         _, acts = cctm_forward(E, B, p)
-        f1 = _minflt()
+        t1, f1 = _mark()
         grads = cctm_backward(acts, p, G)
-        f2 = _minflt()
+        t2, f2 = _mark()
         del acts, grads
         if i >= WARMUP:
-            faults["cctm_forward"].append(f1 - f0)
-            faults["cctm_backward"].append(f2 - f1)
+            costs["cctm_forward"].append((t1 - t0, f1 - f0))
+            costs["cctm_backward"].append((t2 - t1, f2 - f1))
 
     (_, acts), fwd_peak = _traced_peak(lambda: cctm_forward(E, B, p))
     _, bwd_peak = _traced_peak(lambda: cctm_backward(acts, p, G))
 
-    print("call,shape,ops,median_minor_faults,tracemalloc_peak_mib")
+    print("call,shape,ops,median_minor_faults,tracemalloc_peak_mib,median_ms")
     label = "x".join(map(str, shape))
     for name, peak in (("cctm_forward", fwd_peak), ("cctm_backward", bwd_peak)):
-        median = statistics.median(faults[name])
-        print(f"{name},{label},{args.ops},{median:g},{peak / 2**20:.2f}")
+        ms = statistics.median(c[0] for c in costs[name])
+        faults = statistics.median(c[1] for c in costs[name])
+        print(f"{name},{label},{args.ops},{faults:g},{peak / 2**20:.2f},{ms:.3f}")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ from .harness import (
 from .numeric import (
     finite_diff_grad,
     gelu,
-    layer_norm,
     make_rng,
     sigmoid,
     tensor,

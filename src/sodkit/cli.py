@@ -66,6 +66,14 @@ def floats(s):
     return _nonempty([float(v) for v in s.split(",") if v], s)
 
 
+def _seed(s):
+    """A seed: any non-negative integer, however large."""
+    v = int(s)
+    if v < 0:
+        raise ValueError(f"expected a non-negative integer, got {s!r}")
+    return v
+
+
 def _ints3(s):
     parts = [int(v) for v in s.split(",")]
     if len(parts) != 3:
@@ -170,7 +178,7 @@ COMMANDS: dict[str, tuple[list[Opt], callable]] = {
         Opt("--out", str, help="write CSV here instead of stdout"),
     ], _cmd_clap_plan),
     "cctm-check": ([
-        Opt("--seed", int, default=0, help="RNG seed"),
+        Opt("--seed", _seed, default=0, help="RNG seed"),
         Opt("--shape", _ints3, default=(1, 3, 5), help="tensor shape B,C,L"),
         Opt("--out", str, help="write CSV here instead of stdout"),
     ], _cmd_cctm_check),
@@ -188,7 +196,7 @@ COMMANDS: dict[str, tuple[list[Opt], callable]] = {
         Opt("--gamma", float, default=2.0),
         Opt("--epochs", int, default=200),
         Opt("--lr", float, default=0.5),
-        Opt("--seed", int, default=0),
+        Opt("--seed", _seed, default=0),
         Opt("--n", int, default=5000, help="synthetic dataset size"),
         Opt("--out", str, help="write metrics CSV here instead of stdout"),
     ], _cmd_boost_train),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, EvaluationError
 from .numeric import (
-    DEFAULT_LN_EPS, _gelu_and_cdf, _gelu_grad_from_cdf, make_rng, sigmoid, tensor,
+    DEFAULT_LN_EPS, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor,
 )
 
 DEFAULT_GRN_EPS = 1e-6
@@ -194,9 +194,11 @@ def _check_channels(x, p: CCTMParams) -> None:
         raise DimensionError(f"channel count {x.shape[1]} != params C={p.channels}")
 
 
-def _fc(w, b, x):
-    """Channel-mixing linear map applied per token: y[b,:,l] = w @ x[b,:,l] + b."""
-    return w @ x + b[..., None]
+def _fc(w, b, x, out):
+    """Channel-mixing linear map applied per token, written into out:
+    y[b,:,l] = w @ x[b,:,l] + b."""
+    np.matmul(w, x, out=out)
+    return np.add(out, b[..., None], out=out)
 
 
 def _fc_weight_grad(d, x):
@@ -210,19 +212,30 @@ def gate_first(E, p: CCTMParams) -> np.ndarray:
     _check_bcl(E)
     p.validate()
     _check_channels(E, p)
-    return _gate_first_state(E, p)[0]
+    return _gate_first_state(E, p, np.empty(E.shape))[0]
 
 
-def _gate_first_state(E, p):
-    z = _fc(p.fc1_w, p.fc1_b, E)
-    # LayerNorm over the channel axis, per (batch, token) position
+# The forward's state helpers below build each map in place in a fresh
+# C-contiguous array, the layout the out-of-place expression would have, so
+# reductions sum in the same order; a map that is not returned lives in the
+# caller's scratch buffer. Each chain keeps the operations and operand order
+# of the one-line formula in its comment, so the results are those of the
+# formulas bit for bit.
+
+def _gate_first_state(E, p, scratch):
+    z = _fc(p.fc1_w, p.fc1_b, E, out=scratch)
+    # LayerNorm over the channel axis, per (batch, token) position; the
+    # variance takes np.var's own steps on the deviations d = z - mean
     mean = z.mean(axis=-2, keepdims=True)
-    var = z.var(axis=-2, keepdims=True)
+    xhat = np.subtract(z, mean, out=np.empty(z.shape))
+    var = np.add.reduce(np.square(xhat, out=scratch), axis=-2, keepdims=True) / z.shape[-2]
     inv_std = 1.0 / np.sqrt(var + p.ln_eps)
-    xhat = (z - mean) * inv_std
-    ln_out = p.ln1_gamma[..., None] * xhat + p.ln1_beta[..., None]
+    np.multiply(xhat, inv_std, out=xhat)
+    # ln_out = gamma * xhat + beta
+    ln_out = np.multiply(p.ln1_gamma[..., None], xhat, out=np.empty(z.shape))
+    np.add(ln_out, p.ln1_beta[..., None], out=ln_out)
     act, ln_cdf = _gelu_and_cdf(ln_out)
-    return sigmoid(act), xhat, inv_std, ln_out, ln_cdf
+    return _sigmoid_into(act, act), xhat, inv_std, ln_out, ln_cdf
 
 
 def cross_first(E, B, e_prime) -> np.ndarray:
@@ -246,14 +259,18 @@ def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
         )
     if not eps > 0:
         raise DimensionError(f"eps must be positive, got {eps}")
-    return _grn_state(x, gamma, beta, eps).out
+    return _grn_state(x, gamma, beta, eps, np.empty(x.shape)).out
 
 
-def _grn_state(x, gamma, beta, eps) -> _GrnState:
-    norms = np.sqrt((x * x).sum(axis=-1))             # [B, C]
+def _grn_state(x, gamma, beta, eps, scratch) -> _GrnState:
+    norms = np.sqrt(np.multiply(x, x, out=scratch).sum(axis=-1))  # [B, C]
     denom = norms.mean(axis=-1, keepdims=True) + eps  # [B, 1]
     scale = norms / denom                             # [B, C]
-    out = gamma[..., None] * x * scale[..., None] + beta[..., None] + x
+    # out = gamma * x * scale + beta + x
+    out = np.multiply(gamma[..., None], x, out=np.empty(x.shape))
+    np.multiply(out, scale[..., None], out=out)
+    np.add(out, beta[..., None], out=out)
+    np.add(out, x, out=out)
     return _GrnState(x=x, norms=norms, scale=scale, denom=denom, out=out)
 
 
@@ -282,10 +299,11 @@ def _grn_backward(state: _GrnState, gamma, d_out, scratch):
 
 
 def _mlp_state(x, w1, b1, w2, b2) -> tuple[np.ndarray, _MlpState]:
-    """The MLP's output and the state its backward needs."""
-    pre = _fc(w1, b1, x)
+    """The MLP's output, in a fresh array, and the state its backward needs."""
+    pre = _fc(w1, b1, x, out=np.empty(x.shape))
     hidden, cdf = _gelu_and_cdf(pre)
-    return _fc(w2, b2, hidden), _MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
+    out = _fc(w2, b2, hidden, out=np.empty(x.shape))
+    return out, _MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
 
 
 def _mlp_backward(state: _MlpState, w1, w2, d_out, scratch):
@@ -308,19 +326,20 @@ def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
     _check_bcl(E, B)
     p.validate()
     _check_channels(E, p)
-    return _cross_gate_state(E, B, p)[0]
+    return _cross_gate_state(E, B, p, np.empty(E.shape))[0]
 
 
-def _cross_gate_state(e1, B, p: CCTMParams):
+def _cross_gate_state(e1, B, p: CCTMParams, scratch):
     """The second-step gate of the streams e1 and B, then the GRN and MLP
     states and the sigmoid maps of each stream that the backward needs."""
-    grn_e = _grn_state(e1, p.grn_gamma, p.grn_beta, p.grn_eps)
-    grn_b = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
+    grn_e = _grn_state(e1, p.grn_gamma, p.grn_beta, p.grn_eps, scratch)
+    grn_b = _grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps, scratch)
     logit_e, mlp_e = _mlp_state(grn_e.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
     logit_b, mlp_b = _mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
-    sig_e = sigmoid(logit_e)
-    sig_b = sigmoid(logit_b)
-    return sig_e * sig_b, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b
+    sig_e = _sigmoid_into(logit_e, logit_e)
+    sig_b = _sigmoid_into(logit_b, logit_b)
+    gate = np.multiply(sig_e, sig_b, out=np.empty(sig_e.shape))
+    return gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b
 
 
 def cross_second(E, B, gate) -> np.ndarray:
@@ -343,12 +362,25 @@ def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     """Unchecked body of cctm_forward. E, B and every parameter array may
     carry leading problem axes, [K, B, C, L] maps with [K, 1, C, C] and
     [K, 1, C] parameters; the problems never mix, since LayerNorm and GRN
-    reduce within one sample only."""
-    e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p)
-    e_cross1 = E + B * (1.0 - e_prime)
+    reduce within one sample only.
 
-    gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = _cross_gate_state(e_cross1, B, p)
-    e_cf = 2.0 * e_cross1 * gate + B * (1.0 - gate)
+    Every returned map is a fresh array; one scratch buffer holds the maps
+    that are not returned."""
+    scratch = np.empty(E.shape)
+    e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p, scratch)
+    # e_cross1 = E + B * (1 - E')
+    e_cross1 = np.subtract(1.0, e_prime, out=np.empty(E.shape))
+    np.multiply(B, e_cross1, out=e_cross1)
+    np.add(E, e_cross1, out=e_cross1)
+
+    gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = _cross_gate_state(
+        e_cross1, B, p, scratch
+    )
+    # e_cf = 2 * e_cross1 * gate + B * (1 - gate)
+    e_cf = np.multiply(2.0, e_cross1, out=np.empty(E.shape))
+    np.multiply(e_cf, gate, out=e_cf)
+    np.multiply(B, np.subtract(1.0, gate, out=scratch), out=scratch)
+    np.add(e_cf, scratch, out=e_cf)
 
     acts = CCTMActivations(
         e=E, b=B, e_prime=e_prime, e_cross1=e_cross1, gate=gate, e_cf=e_cf,

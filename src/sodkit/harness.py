@@ -21,7 +21,7 @@ import numpy as np
 
 from .boost import BoostConfig, _cls_loss_and_grad
 from .errors import DimensionError, DomainError, ParseError, TrainingError
-from .numeric import make_rng, sigmoid, tensor
+from .numeric import _sigmoid_into, make_rng, tensor
 
 FEATURE_DIM = 16
 HIDDEN_DIM = 32
@@ -204,9 +204,11 @@ class _ToyModel:
         np.matmul(x, self.w1.T, out=hidden)
         hidden += self.b1
         np.tanh(hidden, out=hidden)
-        p = sigmoid(hidden @ self.w2 + self.b2)
-        t_hat = sigmoid(hidden @ self.wb.T + self.bb)  # log-scale extents in (0, 1)
-        return p, t_hat
+        p = hidden @ self.w2 + self.b2
+        t_hat = hidden @ self.wb.T + self.bb
+        # the sigmoid of each fresh logit array, in place; t_hat holds
+        # log-scale extents in (0, 1)
+        return _sigmoid_into(p, p), _sigmoid_into(t_hat, t_hat)
 
     def step(self, x, hidden, d_z, d_box_raw, lr, d_pre, scratch):
         """One gradient step; d_pre and scratch are [n, HIDDEN_DIM] buffers
@@ -439,7 +441,10 @@ def score_stats(
         raise DomainError(f"bucket edges must be finite, got {edges}")
     labels = [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])] + [f"[{edges[-1]:g},inf)"]
     score = dets.score
-    size = np.sqrt(dets.bbox[:, 2] * dets.bbox[:, 3])
+    # w * h of extents near 1e308 overflows to inf, the open top bucket's
+    # size; only the warning is silenced
+    with np.errstate(over="ignore"):
+        size = np.sqrt(dets.bbox[:, 2] * dets.bbox[:, 3])
     keep = (score >= threshold) & (size >= edges[0])
     idx = np.searchsorted(edges[1:], size[keep], side="right")
     # bincount adds in input order, as a running per-bucket sum would

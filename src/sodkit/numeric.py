@@ -12,7 +12,7 @@ from collections.abc import Callable
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimensionError, DomainError, EvaluationError
+from .errors import EvaluationError
 
 DEFAULT_LN_EPS = 1e-5
 
@@ -29,26 +29,6 @@ def make_rng(seed: int) -> np.random.Generator:
     its own generator instead of sharing one instance.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def layer_norm(x, gamma, beta, eps: float = DEFAULT_LN_EPS) -> np.ndarray:
-    """Normalize over the last axis (population variance), then apply the
-    per-channel affine gamma * xhat + beta."""
-    x = tensor(x)
-    gamma = tensor(gamma)
-    beta = tensor(beta)
-    if x.shape[-1] == 0:
-        raise DimensionError("layer_norm over an empty last axis")
-    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
-        raise DimensionError(
-            f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match C={x.shape[-1]}"
-        )
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mean) / np.sqrt(var + eps)
-    return gamma * xhat + beta
 
 
 # The elementwise maps below run as in-place chains into np.empty_like
@@ -94,19 +74,23 @@ def gelu_grad(x) -> np.ndarray:
     return _gelu_grad_from_cdf(x, _gelu_and_cdf(x)[1])
 
 
-def sigmoid(x) -> np.ndarray:
-    """Logistic function, overflow-free for arbitrarily large |x|:
-    where(x >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(min(x, -x))."""
-    x = tensor(x)
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigmoid(x) written into out, which may be x itself; x is a float64
+    array. The numerator max(e, x >= 0) is 1 where x >= 0 and e elsewhere,
+    since e lies in [0, 1], and a NaN e passes through it unchanged."""
     # exp(-|x|) lies in [0, 1], so it never overflows; min(x, -x) rather than
     # -abs(x) leaves the sign bit of a NaN input as it is
     e = np.empty_like(x)
     np.exp(np.minimum(x, np.negative(x, out=e), out=e), out=e)
-    d = np.add(1.0, e, out=np.empty_like(x))
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    np.copyto(e, d, where=x >= 0)
-    return e
+    np.maximum(e, x >= 0, out=out)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
+
+
+def sigmoid(x) -> np.ndarray:
+    """Logistic function, overflow-free for arbitrarily large |x|:
+    where(x >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(min(x, -x))."""
+    x = tensor(x)
+    return _sigmoid_into(x, np.empty_like(x))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -126,6 +126,48 @@ def test_score_stats_rejects_non_finite_extent(tmp_path, capsys, extent):
     assert_rejected(*run(capsys, "score-stats", "--in", str(path)), "entry 0: non-finite")
 
 
+def test_score_stats_overflowing_box_area_is_silent(tmp_path):
+    import subprocess
+    import sys
+
+    # w * h overflows to inf, whose square root is the open top bucket's size
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                 "bbox": [0, 0, 1e308, 1e308], "score": 0.9}]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sodkit.cli", "score-stats", "--in", str(path)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "[256,inf),1,0.900000"
+
+
+@pytest.mark.parametrize("command", [
+    ["cctm-check", "--shape", "1,1,1"],
+    ["boost-train", "--n", "10", "--epochs", "1"],
+])
+def test_negative_seed_is_rejected_naming_the_flag(capsys, monkeypatch, command):
+    from sodkit import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli.fusion, "gradient_check", no_work)
+    monkeypatch.setattr(cli.harness, "synth_dataset", no_work)
+    assert_rejected(*run(capsys, *command, "--seed", "-1"),
+                    "--seed: expected a non-negative integer, got '-1'")
+
+
+@pytest.mark.parametrize("command", [
+    ["cctm-check", "--shape", "1,1,1"],
+    ["boost-train", "--n", "10", "--epochs", "1"],
+])
+def test_huge_seed_is_accepted(capsys, command):
+    code, out, err = run(capsys, *command, "--seed", "99999999999999999999999")
+    assert (code, err) == (0, "")
+    assert "99999999999999999999999" in out
+
+
 @pytest.mark.parametrize("flags,needle", [
     (["--betas", "0,1.0"], "beta"),
     (["--betas", "0.5,1.5"], "beta"),

@@ -9,6 +9,7 @@ from sodkit import fusion, make_rng
 from sodkit.errors import DimensionError, EvaluationError
 from sodkit.fusion import (
     ARRAY_FIELDS,
+    CCTMActivations,
     CCTMGrads,
     CCTMParams,
     cctm_backward,
@@ -20,7 +21,9 @@ from sodkit.fusion import (
     gradient_check,
     grn,
 )
-from sodkit.numeric import _gelu_grad_from_cdf, finite_diff_grad, gelu, gelu_grad, sigmoid
+from sodkit.numeric import (
+    _gelu_and_cdf, _gelu_grad_from_cdf, finite_diff_grad, gelu, gelu_grad, sigmoid,
+)
 
 
 def zero_params(c, ln_eps=1e-12):
@@ -608,3 +611,136 @@ def test_backward_traced_peak_is_about_five_maps():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def _frozen_sigmoid(x):
+    """The masked-copy sigmoid that the branch-free one replaced."""
+    e = np.empty_like(x)
+    np.exp(np.minimum(x, np.negative(x, out=e), out=e), out=e)
+    d = np.add(1.0, e, out=np.empty_like(x))
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=x >= 0)
+    return e
+
+
+def _frozen_forward(E, B, p):
+    """The out-of-place forward that the in-place one replaced, kept
+    expression for expression as the bit-level reference."""
+    def fc(w, b, x):
+        return w @ x + b[..., None]
+
+    def gate_first_state(E, p):
+        z = fc(p.fc1_w, p.fc1_b, E)
+        mean = z.mean(axis=-2, keepdims=True)
+        var = z.var(axis=-2, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + p.ln_eps)
+        xhat = (z - mean) * inv_std
+        ln_out = p.ln1_gamma[..., None] * xhat + p.ln1_beta[..., None]
+        act, ln_cdf = _gelu_and_cdf(ln_out)
+        return _frozen_sigmoid(act), xhat, inv_std, ln_out, ln_cdf
+
+    def grn_state(x, gamma, beta, eps):
+        norms = np.sqrt((x * x).sum(axis=-1))
+        denom = norms.mean(axis=-1, keepdims=True) + eps
+        scale = norms / denom
+        out = gamma[..., None] * x * scale[..., None] + beta[..., None] + x
+        return fusion._GrnState(x=x, norms=norms, scale=scale, denom=denom, out=out)
+
+    def mlp_state(x, w1, b1, w2, b2):
+        pre = fc(w1, b1, x)
+        hidden, cdf = _gelu_and_cdf(pre)
+        return fc(w2, b2, hidden), fusion._MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
+
+    def cross_gate_state(e1, B, p):
+        grn_e = grn_state(e1, p.grn_gamma, p.grn_beta, p.grn_eps)
+        grn_b = grn_state(B, p.grn_gamma, p.grn_beta, p.grn_eps)
+        logit_e, mlp_e = mlp_state(grn_e.out, p.mlp_e_w1, p.mlp_e_b1, p.mlp_e_w2, p.mlp_e_b2)
+        logit_b, mlp_b = mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
+        sig_e = _frozen_sigmoid(logit_e)
+        sig_b = _frozen_sigmoid(logit_b)
+        return sig_e * sig_b, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b
+
+    e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = gate_first_state(E, p)
+    e_cross1 = E + B * (1.0 - e_prime)
+    gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = cross_gate_state(e_cross1, B, p)
+    e_cf = 2.0 * e_cross1 * gate + B * (1.0 - gate)
+    acts = CCTMActivations(
+        e=E, b=B, e_prime=e_prime, e_cross1=e_cross1, gate=gate, e_cf=e_cf,
+        ln_xhat=ln_xhat, ln_inv_std=ln_inv_std, ln_out=ln_out, ln_cdf=ln_cdf,
+        grn_e=grn_e, grn_b=grn_b, mlp_e=mlp_e, mlp_b=mlp_b,
+        sig_e=sig_e, sig_b=sig_b,
+    )
+    return e_cf, acts
+
+
+def _assert_forward_bit_identical(got, want):
+    got_arrays, want_arrays = _reachable_arrays(got[1]), _reachable_arrays(want[1])
+    assert got_arrays.keys() == want_arrays.keys() and len(got_arrays) > 20
+    for path in want_arrays:
+        g, w = got_arrays[path], want_arrays[path]
+        assert g.shape == w.shape, path
+        assert np.array_equal(_bits(g), _bits(w)), path
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+
+
+@pytest.mark.parametrize("shape,specials", [
+    ((2, 64, 1024), False), ((1, 3, 5), False), ((3, 8, 33), False), ((1, 1, 1), False),
+    ((2, 4, 6), True), ((2, 4, 6), "aligned"),
+])
+def test_forward_bit_identical_to_frozen_reference(shape, specials):
+    e, b, _, p = _problem(shape, 80 + shape[1], specials)
+    if specials == "aligned":
+        # B's NaNs of both signs meet the NaN gate that E's NaNs spread over
+        # every channel of their tokens, where E itself is finite, so the
+        # NaN a product keeps depends on its operand order
+        b.flat[6:11] = [-np.nan, np.nan, -np.nan, np.nan, -np.nan]
+    with np.errstate(all="ignore"):
+        got = cctm_forward(e, b, p)
+        want = _frozen_forward(e, b, p)
+    if specials:
+        assert np.isnan(got[0]).any()
+    _assert_forward_bit_identical(got, want)
+
+
+def test_stacked_forward_bit_identical_to_frozen_reference():
+    # the [K, B, C, L] problem gradient_check feeds the forward: strided
+    # views of one row matrix, and [K, 1, ...] parameters from with_vector
+    k, shape = 6, (2, 3, 5)
+    e, b, _, p = _problem(shape, 95)
+    size = e.size
+    rows = np.tile(np.concatenate([e.ravel(), b.ravel(), p.to_vector()]), (k, 1))
+    rows += make_rng(96).standard_normal(rows.shape) * 1e-3
+    ne = rows[:, :size].reshape((k,) + shape)
+    nb = rows[:, size : 2 * size].reshape((k,) + shape)
+    np_ = p.with_vector(rows[:, None, 2 * size :])
+    _assert_forward_bit_identical(fusion._forward(ne, nb, np_), _frozen_forward(ne, nb, np_))
+
+
+def test_forward_returns_arrays_that_share_no_memory():
+    e, b, _, p = _problem((2, 5, 7), 97)
+    out, acts = cctm_forward(e, b, p)
+    arrays = {id(a): (path, a) for path, a in _reachable_arrays(acts).items()}
+    arrays[id(out)] = ("output", out)
+    # acts.e and acts.b are the inputs themselves, and the GRN and MLP states
+    # hold their inputs by reference; every other array is its own
+    assert id(e) in arrays and id(b) in arrays
+    owned = [(path, a) for key, (path, a) in arrays.items() if key not in (id(e), id(b))]
+    assert len(owned) > 20
+    for i, (path, a) in enumerate(owned):
+        assert not np.shares_memory(a, e) and not np.shares_memory(a, b), path
+        for other_path, other in owned[i + 1:]:
+            assert not np.shares_memory(a, other), (path, other_path)
+
+
+def test_forward_traced_peak_is_its_returned_maps_and_one_scratch():
+    # seventeen returned [2, 64, 1024] maps of 1 MiB each and one scratch map;
+    # the out-of-place forward peaked at 18.15 MiB
+    e, b, _, p = _problem((2, 64, 1024), 98)
+    tracemalloc.start()
+    try:
+        cctm_forward(e, b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.1 * 2**20

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("compare_losses.py", ["--n", "200", "--epochs", "2"],
      "dataset: seed=42 n=200; training: epochs=2 lr=0.5"),
     ("fault_count.py", ["--shape", "1,3,5", "--ops", "3"],
-     "call,shape,ops,median_minor_faults,tracemalloc_peak_mib"),
+     "call,shape,ops,median_minor_faults,tracemalloc_peak_mib,median_ms"),
     ("train_digest.py", ["--quick"], "cases,sha256"),
     ("ingest_split.py", ["--entries", "50", "--calls", "3"], "stage,entries,calls,median_ms"),
 ])
