@@ -48,7 +48,6 @@ from .harness import (
     train_toy,
 )
 from .numeric import (
-    finite_diff_grad,
     gelu,
     make_rng,
     sigmoid,

@@ -3,7 +3,8 @@
 Subcommands: clap-plan, cctm-check, boost-table, boost-train, score-stats.
 Every subcommand accepts --config FILE with plain ``key = value`` lines;
 command-line flags override file values. Exit codes: 0 success, 1 contract
-violation (bad arguments, malformed input), 2 numerical failure.
+violation (bad arguments, malformed input, sizes too large to allocate),
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -152,12 +153,12 @@ def _cmd_boost_table(ns) -> int:
 def _cmd_boost_train(ns) -> int:
     cfg = harness.RunConfig(
         loss=ns.loss, alpha=ns.alpha, beta=ns.beta, gamma=ns.gamma,
-        epochs=ns.epochs, lr=ns.lr, seed=ns.seed, n=ns.n, out=ns.out,
+        epochs=ns.epochs, lr=ns.lr, seed=ns.seed, n=ns.n,
     )
     cfg.validate()
     data = harness.synth_dataset(cfg.seed, cfg.n)
     metrics = harness.train_toy(data, cfg)
-    _emit(metrics.csv_lines(), cfg.out)
+    _emit(metrics.csv_lines(), ns.out)
     return 0
 
 
@@ -231,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingError as exc:
         print(f"sodkit: {exc}", file=sys.stderr)
         return 2
-    except (SodkitError, OSError, ValueError) as exc:
+    except (SodkitError, OSError, ValueError, MemoryError) as exc:
+        # MemoryError: an array the sizes ask for was refused
         print(f"sodkit: {exc}", file=sys.stderr)
         return 1
 

@@ -85,21 +85,6 @@ class CCTMParams:
             raise DimensionError(f"ln_eps must be positive and finite, got {self.ln_eps}")
 
     @classmethod
-    def init(cls, c: int, rng: np.random.Generator) -> "CCTMParams":
-        """Warm-start init: FC/MLP weights uniform in +-1/sqrt(C), biases 0,
-        LN affine identity, GRN affine 0 so the block starts as a residual."""
-        bound = 1.0 / np.sqrt(c)
-        def w():
-            return rng.uniform(-bound, bound, size=(c, c))
-        return cls(
-            fc1_w=w(), fc1_b=np.zeros(c),
-            ln1_gamma=np.ones(c), ln1_beta=np.zeros(c),
-            grn_gamma=np.zeros(c), grn_beta=np.zeros(c),
-            mlp_b_w1=w(), mlp_b_b1=np.zeros(c), mlp_b_w2=w(), mlp_b_b2=np.zeros(c),
-            mlp_e_w1=w(), mlp_e_b1=np.zeros(c), mlp_e_w2=w(), mlp_e_b2=np.zeros(c),
-        )
-
-    @classmethod
     def random(cls, c: int, rng: np.random.Generator) -> "CCTMParams":
         """Every array uniform in +-1/sqrt(C); exercises all gradient paths."""
         bound = 1.0 / np.sqrt(c)

@@ -82,7 +82,6 @@ class RunConfig:
     lr: float = 0.5
     seed: int = 0
     n: int = 5000
-    out: str | None = None
 
     def validate(self) -> None:
         if self.loss not in ("boost", "focal"):
@@ -94,12 +93,6 @@ class RunConfig:
         if self.n < 1:
             raise DomainError(f"dataset size must be >= 1, got {self.n}")
         BoostConfig(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
-
-
-def size_bucket(h: float, w: float) -> str:
-    side = math.sqrt(h * w)
-    idx = int(np.searchsorted(BUCKET_EDGES[1:], side, side="right"))
-    return BUCKET_NAMES[idx]
 
 
 def synth_dataset(seed: int, n: int) -> SynthData:
@@ -123,8 +116,9 @@ def synth_dataset(seed: int, n: int) -> SynthData:
     neg = np.flatnonzero(y == 0)
     if neg.size:
         feats[neg] = rng.permuted(feats[neg], axis=1)
-    # every sample's size_bucket(h, w) in one pass: np.sqrt and math.sqrt
-    # round alike
+    # every sample's bucket in one pass: the number of BUCKET_EDGES[1:] at or
+    # below sqrt(h * w), as the tests' per-sample size_bucket oracle counts
+    # it with math.sqrt, which rounds as np.sqrt does
     bucket = np.searchsorted(BUCKET_EDGES[1:], side, side="right").astype(np.int64, copy=False)
     return SynthData(features=feats, y=y, sides=sides, bucket=bucket)
 

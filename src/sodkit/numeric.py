@@ -1,5 +1,5 @@
-"""Dense-tensor primitives: float64 arrays, elementary nonlinearities, a
-deterministic RNG, and a central-finite-difference gradient oracle.
+"""Dense-tensor primitives: float64 arrays, elementary nonlinearities and a
+deterministic RNG.
 
 All operations are pure and keep finite inputs finite. Tensors are plain
 numpy arrays in row-major order; every function promotes to float64.
@@ -7,12 +7,8 @@ numpy arrays in row-major order; every function promotes to float64.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 from scipy.special import erf
-
-from .errors import EvaluationError
 
 DEFAULT_LN_EPS = 1e-5
 
@@ -91,25 +87,3 @@ def sigmoid(x) -> np.ndarray:
     where(x >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(min(x, -x))."""
     x = tensor(x)
     return _sigmoid_into(x, np.empty_like(x))
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued f, one coordinate at a
-    time: (f(x + h e_i) - f(x - h e_i)) / (2 h)."""
-    x = tensor(x)
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    grad = np.empty_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"objective is non-finite near coordinate {i}")
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad

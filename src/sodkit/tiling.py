@@ -112,40 +112,40 @@ def split(x, grid: PatchGrid) -> list[np.ndarray]:
     return patches
 
 
-def _merge_axis(parts: list[np.ndarray], starts: list[int], extent: int, axis: int) -> np.ndarray:
-    """Overlay slabs along one axis, dividing by the coverage count."""
-    shape = list(parts[0].shape)
-    shape[axis] = extent
-    acc = np.zeros(shape)
+def _coverage(starts: list[int], size: int, extent: int) -> np.ndarray:
+    """How many of the patches starting at starts cover each axis position."""
     cnt = np.zeros(extent)
-    idx = [slice(None)] * len(shape)
-    size = parts[0].shape[axis]
-    for part, s in zip(parts, starts):
-        idx[axis] = slice(s, s + size)
-        acc[tuple(idx)] += part
+    for s in starts:
         cnt[s : s + size] += 1.0
-    cshape = [1] * len(shape)
-    cshape[axis] = extent
-    return acc / cnt.reshape(cshape)
+    return cnt
 
 
 def reassemble(patches: list[np.ndarray], grid: PatchGrid) -> np.ndarray:
     """Inverse of split: every output position is the arithmetic mean of all
-    patch values covering it; padded regions are discarded."""
+    patch values covering it; padded regions are discarded.
+
+    One pass over the patches: each row of patches is summed into one strip
+    buffer and averaged over its columns, then added into the output, which
+    is averaged over its rows at the end."""
     if len(patches) != grid.n_patches:
         raise DimensionError(f"expected {grid.n_patches} patches, got {len(patches)}")
-    patches = [tensor(p) for p in patches]
-    want = (patches[0].shape[0], grid.H_o, grid.W_o)
-    for i, p in enumerate(patches):
-        if p.shape != want:
-            raise DimensionError(f"patch {i} has shape {p.shape}, expected {want}")
+    want = (tensor(patches[0]).shape[0], grid.H_o, grid.W_o)
     full_w = grid.W + grid.pad_w
-    full_h = grid.H + grid.pad_h
-    strips = []
-    for j in range(grid.n_h):
-        row = patches[j * grid.n_w : (j + 1) * grid.n_w]
-        strips.append(_merge_axis(row, grid.starts_x, full_w, axis=2))
-    out = _merge_axis(strips, grid.starts_y, full_h, axis=1)
+    out = np.zeros((want[0], grid.H + grid.pad_h, full_w))
+    strip = np.empty((want[0], grid.H_o, full_w))
+    col_cnt = _coverage(grid.starts_x, grid.W_o, full_w)
+    i = 0
+    for sy in grid.starts_y:
+        strip.fill(0.0)
+        for sx in grid.starts_x:
+            p = tensor(patches[i])
+            if p.shape != want:
+                raise DimensionError(f"patch {i} has shape {p.shape}, expected {want}")
+            strip[:, :, sx : sx + grid.W_o] += p
+            i += 1
+        strip /= col_cnt
+        out[:, sy : sy + grid.H_o] += strip
+    out /= _coverage(grid.starts_y, grid.H_o, out.shape[1])[:, None]
     return out[:, : grid.H, : grid.W]
 
 

@@ -80,9 +80,20 @@ def test_boost_train_writes_deterministic_csv(tmp_path, capsys):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert run(capsys, *args) == (0, a.read_text(), "")
     text = a.read_text()
     assert text.startswith("# boost-train loss=boost")
     assert "bucket,count,recall,mean_positive_weight" in text
+
+
+# the first array of each is over 2**48 bytes, beyond any x86-64 user address
+# space, so the allocation is refused whatever the host's overcommit policy
+@pytest.mark.parametrize("argv", [
+    ["cctm-check", "--shape", "1,10000000,1"],                   # a C x C weight
+    ["boost-train", "--n", "100000000000000", "--epochs", "1"],  # [n, 2] box sides
+])
+def test_refused_allocation_exits_1_with_one_line(capsys, argv):
+    assert_rejected(*run(capsys, *argv), "Unable to allocate")
 
 
 def test_boost_train_rejects_unknown_loss(capsys):

@@ -21,9 +21,9 @@ from sodkit.fusion import (
     gradient_check,
     grn,
 )
-from sodkit.numeric import (
-    _gelu_and_cdf, _gelu_grad_from_cdf, finite_diff_grad, gelu, gelu_grad, sigmoid,
-)
+from sodkit.numeric import _gelu_and_cdf, _gelu_grad_from_cdf, gelu, gelu_grad, sigmoid
+
+from test_numeric import finite_diff_grad
 
 
 def zero_params(c, ln_eps=1e-12):
@@ -542,6 +542,17 @@ def _problem(shape, seed, specials=False):
     if specials:
         e.flat[:5] = [np.nan, -np.nan, np.inf, -np.inf, -0.0]
         b.flat[-5:] = [-0.0, np.inf, -np.nan, np.nan, -np.inf]
+    if specials == "opposed":
+        # NaNs of opposite sign meet where the result keeps its first
+        # operand's NaN: E's and B's at E + B (1 - E'), since B's NaN passes
+        # through its product; the NaN gamma of channel 1 and the inputs'
+        # NaNs of that channel at the GRN's residual add; and, in the
+        # backward, up's NaNs of both signs and the NaN gate of batch 0
+        e[0, 1, :4] = [np.nan, -np.nan, np.nan, -np.nan]
+        b[0, 1, :4] = [-np.nan, np.nan, -np.nan, np.nan]
+        b[1, 1, 2:4] = [np.nan, -np.nan]
+        p.grn_gamma[1] = -np.nan
+        up[0] = np.where(np.arange(up[0].size).reshape(up[0].shape) % 2, np.nan, -np.nan)
     return e, b, up, p
 
 
@@ -551,7 +562,7 @@ def _bits(a):
 
 @pytest.mark.parametrize("shape,specials", [
     ((2, 64, 1024), False), ((1, 3, 5), False), ((3, 8, 33), False), ((1, 1, 1), False),
-    ((2, 4, 6), True),
+    ((2, 4, 6), True), ((2, 4, 6), "opposed"),
 ])
 def test_backward_bit_identical_to_frozen_reference(shape, specials):
     e, b, up, p = _problem(shape, 80 + shape[1], specials)
@@ -686,7 +697,7 @@ def _assert_forward_bit_identical(got, want):
 
 @pytest.mark.parametrize("shape,specials", [
     ((2, 64, 1024), False), ((1, 3, 5), False), ((3, 8, 33), False), ((1, 1, 1), False),
-    ((2, 4, 6), True), ((2, 4, 6), "aligned"),
+    ((2, 4, 6), True), ((2, 4, 6), "aligned"), ((2, 4, 6), "opposed"),
 ])
 def test_forward_bit_identical_to_frozen_reference(shape, specials):
     e, b, _, p = _problem(shape, 80 + shape[1], specials)

@@ -15,6 +15,7 @@ from sodkit.boost import (
 )
 from sodkit.errors import DimensionError, DomainError, ParseError, TrainingError
 from sodkit.harness import (
+    BUCKET_EDGES,
     BUCKET_NAMES,
     IMAGE_SIDE,
     Detections,
@@ -24,7 +25,6 @@ from sodkit.harness import (
     fixed_size_mlp,
     ingest_coco_results,
     score_stats,
-    size_bucket,
     synth_dataset,
     train_toy,
 )
@@ -71,6 +71,13 @@ def test_synth_golden_bucket_counts():
         counts[BUCKET_NAMES[b]] += 1
     assert counts == GOLDEN_BUCKET_COUNTS
     assert all(v > 0 for v in counts.values())
+
+
+def size_bucket(h: float, w: float) -> str:
+    """Oracle: the size bucket of one h x w box, from its own math.sqrt."""
+    side = math.sqrt(h * w)
+    idx = int(np.searchsorted(BUCKET_EDGES[1:], side, side="right"))
+    return BUCKET_NAMES[idx]
 
 
 def test_size_bucket_edges():

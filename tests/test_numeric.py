@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from scipy.special import erf
 
-from sodkit import finite_diff_grad, gelu, make_rng, sigmoid
-from sodkit.numeric import _gelu_grad_from_cdf, _sigmoid_into, gelu_grad
+from sodkit import gelu, make_rng, sigmoid
+from sodkit.numeric import _gelu_grad_from_cdf, _sigmoid_into, gelu_grad, tensor
 from sodkit.errors import EvaluationError
 
 
@@ -111,6 +111,28 @@ def test_elementwise_maps_of_0d_input_are_0d_arrays(v):
             got = f(np.array(v))
             assert isinstance(got, np.ndarray) and got.shape == ()
             assert np.array_equal(_bits(got), _bits(ref(np.array([v]))))
+
+
+def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
+    """Oracle: central-difference gradient of a scalar-valued f, one
+    coordinate at a time: (f(x + h e_i) - f(x - h e_i)) / (2 h)."""
+    x = tensor(x)
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    grad = np.empty_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise EvaluationError(f"objective is non-finite near coordinate {i}")
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return grad
 
 
 def test_finite_diff_quadratic():

@@ -128,6 +128,18 @@ def test_reassemble_rejects_bad_patch_list():
         reassemble([np.zeros((1, 1, 4))], grid)
     with pytest.raises(DimensionError):
         reassemble([np.zeros((1, 1, 4)), np.zeros((1, 1, 5))], grid)
+    # a wrongly shaped patch in a later row is named by its index
+    grid = plan_grid(10, 10, 4, 4)
+    assert (grid.n_w, grid.n_h) == (3, 3)
+    patches = [np.zeros((2, 4, 4)) for _ in range(grid.n_patches)]
+    with pytest.raises(DimensionError, match=r"^expected 9 patches, got 8$"):
+        reassemble(patches[:-1], grid)
+    patches[7] = np.zeros((2, 4, 5))
+    with pytest.raises(DimensionError, match=r"^patch 7 has shape \(2, 4, 5\), expected \(2, 4, 4\)$"):
+        reassemble(patches, grid)
+    patches[4] = np.zeros((1, 4, 4))
+    with pytest.raises(DimensionError, match=r"^patch 4 has shape \(1, 4, 4\), expected \(2, 4, 4\)$"):
+        reassemble(patches, grid)
 
 
 @given(
@@ -143,6 +155,69 @@ def test_round_trip_exact(W, H, wo, ho, seed):
         assume(False)
     x = make_rng(seed).standard_normal((1, H, W))
     assert np.array_equal(reassemble(split(x, grid), grid), x)
+
+
+def _frozen_merge_axis(parts, starts, extent, axis):
+    """Overlay slabs along one axis, dividing by the coverage count."""
+    shape = list(parts[0].shape)
+    shape[axis] = extent
+    acc = np.zeros(shape)
+    cnt = np.zeros(extent)
+    idx = [slice(None)] * len(shape)
+    size = parts[0].shape[axis]
+    for part, s in zip(parts, starts):
+        idx[axis] = slice(s, s + size)
+        acc[tuple(idx)] += part
+        cnt[s : s + size] += 1.0
+    cshape = [1] * len(shape)
+    cshape[axis] = extent
+    return acc / cnt.reshape(cshape)
+
+
+def _frozen_reassemble(patches, grid):
+    """The two-pass reassemble that the one-pass one replaced, kept
+    expression for expression as the bit-level reference: one merge per row
+    of patches along the width, then one merge of the rows."""
+    full_w = grid.W + grid.pad_w
+    full_h = grid.H + grid.pad_h
+    strips = []
+    for j in range(grid.n_h):
+        row = patches[j * grid.n_w : (j + 1) * grid.n_w]
+        strips.append(_frozen_merge_axis(row, grid.starts_x, full_w, axis=2))
+    out = _frozen_merge_axis(strips, grid.starts_y, full_h, axis=1)
+    return out[:, : grid.H, : grid.W]
+
+
+def test_reassemble_bit_identical_to_frozen_two_pass():
+    rng = make_rng(0x7A)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0])
+    seen = {"padded": 0, "multi_row": 0, "multi_channel": 0}
+    for _ in range(300):
+        W, H = (int(v) for v in rng.integers(1, 161, size=2))
+        wo, ho = (int(v) for v in rng.choice([5, 8, 13, 32], size=2))
+        c = int(rng.integers(1, 4))
+        try:
+            grid = plan_grid(W, H, wo, ho)
+        except TilingError:
+            continue
+        patches = [rng.standard_normal((c, ho, wo)) * 10.0 ** rng.integers(-3, 4)
+                   for _ in range(grid.n_patches)]
+        for p in patches[:: max(1, grid.n_patches // 4)]:
+            p.flat[rng.integers(0, p.size, size=3)] = rng.choice(specials, size=3)
+        if rng.integers(0, 4) == 0:
+            # NaN patches whose signs alternate along rows and columns, so
+            # NaNs of opposite sign meet in every overlap; a sum keeps its
+            # first operand's NaN, so the order of the sums shows in the bits
+            for k, p in enumerate(patches):
+                p[c // 2 :] = np.nan if (k // grid.n_w + k % grid.n_w) % 2 else -np.nan
+        got = reassemble(patches, grid)
+        want = _frozen_reassemble(patches, grid)
+        assert got.shape == want.shape == (c, H, W)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (W, H, wo, ho, c)
+        seen["padded"] += bool(grid.pad_w or grid.pad_h)
+        seen["multi_row"] += grid.n_h > 1 and grid.n_w > 1
+        seen["multi_channel"] += c > 1
+    assert min(seen.values()) >= 20, seen
 
 
 def brute_force_mean(patches, grid):
