@@ -250,14 +250,14 @@ def weight_table(
     among the betas, each relative distance also carries its amplification
     ratio over the beta = 1.0 column.
     """
-    BoostConfig(gamma=gamma)  # the loss's own domain checks
-    for b in betas:
-        BoostConfig(beta=b)
+    BoostConfig(gamma=gamma)  # the loss's domain checks, gamma's when betas is empty
+    # (1 - cs_hat^beta)^gamma is the positive weight at alpha = 1 and cs^beta = 1
+    cfgs = [BoostConfig(alpha=1.0, beta=b, gamma=gamma) for b in betas]
     table = WeightTable(gamma=gamma, betas=list(betas), sizes=[tuple(s) for s in object_sizes])
     for h, w in table.sizes:
         cs = round4(size_factor(h, w, H, W))
         table.cs_hats.append(cs)
-        table.weights.append([round4((1.0 - cs**b) ** gamma) for b in betas])
+        table.weights.append([round4(_positive_weight(cs, 1.0, c)) for c in cfgs])
     unit = betas.index(1.0) if 1.0 in betas else None
     for i, (row_a, row_b) in enumerate(zip(table.weights, table.weights[1:])):
         for b, wa, wb in zip(betas, row_a, row_b):

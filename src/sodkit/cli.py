@@ -1,26 +1,26 @@
 """Command-line front end.
 
 Subcommands: clap-plan, cctm-check, boost-table, boost-train, score-stats.
-Every subcommand accepts --config FILE with plain ``key = value`` lines;
-command-line flags override file values. Exit codes: 0 success, 1 contract
-violation (bad arguments, malformed input, sizes too large to allocate),
-2 numerical failure.
+Every subcommand accepts --config FILE with plain ``key = value`` lines and
+--out FILE; command-line flags override file values. Exit codes: 0 success,
+1 contract violation (bad arguments, malformed input, sizes too large to
+allocate), 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from . import fusion, harness, tiling
 from .boost import weight_table
 from .errors import SodkitError, TrainingError
 
 GRAD_CHECK_TOL = 1e-4
-
-_UNSET = object()
 
 
 class CliError(SodkitError):
@@ -108,10 +108,9 @@ def _resolve(args, opts: list[Opt]) -> argparse.Namespace:
     if args.config:
         merged.update(_load_config(args.config, opts))
     for o in opts:
-        raw = getattr(args, o.dest)
-        if raw is not _UNSET:
+        if o.dest in args:
             try:
-                merged[o.dest] = o.parse(raw)
+                merged[o.dest] = o.parse(getattr(args, o.dest))
             except ValueError as exc:
                 raise CliError(f"{o.flag}: {exc}") from None
     for o in opts:
@@ -120,53 +119,43 @@ def _resolve(args, opts: list[Opt]) -> argparse.Namespace:
     return argparse.Namespace(**merged)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_clap_plan(ns) -> int:
+# each handler takes the resolved options and returns its CSV lines and exit code
+def _cmd_clap_plan(ns):
     grid = tiling.plan_grid(W=ns.width, H=ns.height, W_o=ns.patch_w, H_o=ns.patch_h)
-    _emit([grid.csv_row()], ns.out)
-    return 0
+    return [grid.csv_row()], 0
 
 
-def _cmd_cctm_check(ns) -> int:
+def _cmd_cctm_check(ns):
     err = fusion.gradient_check(ns.seed, ns.shape)
     ok = err < GRAD_CHECK_TOL
     shape = "x".join(str(v) for v in ns.shape)
-    _emit([f"{ns.seed},{shape},{err:.6e},{'pass' if ok else 'fail'}"], ns.out)
-    return 0 if ok else 2
+    return [f"{ns.seed},{shape},{err:.6e},{'pass' if ok else 'fail'}"], 0 if ok else 2
 
 
-def _cmd_boost_table(ns) -> int:
+def _cmd_boost_table(ns):
     img_h, img_w = ns.image
     table = weight_table(ns.sizes, H=img_h, W=img_w, gamma=ns.gamma, betas=ns.betas)
-    _emit(table.csv_lines(), ns.out)
-    return 0
+    return table.csv_lines(), 0
 
 
-def _cmd_boost_train(ns) -> int:
-    cfg = harness.RunConfig(
-        loss=ns.loss, alpha=ns.alpha, beta=ns.beta, gamma=ns.gamma,
-        epochs=ns.epochs, lr=ns.lr, seed=ns.seed, n=ns.n,
-    )
+def _cmd_boost_train(ns):
+    cfg = harness.RunConfig(**{f.name: getattr(ns, f.name) for f in fields(harness.RunConfig)})
     cfg.validate()
     data = harness.synth_dataset(cfg.seed, cfg.n)
-    metrics = harness.train_toy(data, cfg)
-    _emit(metrics.csv_lines(), ns.out)
-    return 0
+    return harness.train_toy(data, cfg).csv_lines(), 0
 
 
-def _cmd_score_stats(ns) -> int:
+def _cmd_score_stats(ns):
     dets = harness.ingest_coco_results(getattr(ns, "in"))
-    stats = harness.score_stats(dets, ns.threshold, tuple(ns.edges))
-    _emit(stats.csv_lines(), ns.out)
-    return 0
+    return harness.score_stats(dets, ns.threshold, tuple(ns.edges)).csv_lines(), 0
+
+
+def _run_config_opts() -> list[Opt]:
+    """One flag per RunConfig field, with the field's default and type."""
+    types = typing.get_type_hints(harness.RunConfig)
+    helps = {"loss": "boost or focal", "n": "synthetic dataset size"}
+    return [Opt(f"--{f.name}", _seed if f.name == "seed" else types[f.name], f.default,
+                help=helps.get(f.name, "")) for f in fields(harness.RunConfig)]
 
 
 # each command: its options and the handler that runs on the resolved options
@@ -176,38 +165,26 @@ COMMANDS: dict[str, tuple[list[Opt], callable]] = {
         Opt("--height", int, required=True, help="input height"),
         Opt("--patch-w", int, required=True, help="patch width"),
         Opt("--patch-h", int, required=True, help="patch height"),
-        Opt("--out", str, help="write CSV here instead of stdout"),
     ], _cmd_clap_plan),
     "cctm-check": ([
         Opt("--seed", _seed, default=0, help="RNG seed"),
         Opt("--shape", _ints3, default=(1, 3, 5), help="tensor shape B,C,L"),
-        Opt("--out", str, help="write CSV here instead of stdout"),
     ], _cmd_cctm_check),
     "boost-table": ([
         Opt("--image", _pair, default=(1024.0, 1024.0), help="image size HxW"),
         Opt("--sizes", _pairs, required=True, help="object sizes, e.g. 2x2,8x8"),
         Opt("--gamma", float, default=0.25, help="focusing exponent"),
         Opt("--betas", floats, default=[0.05, 0.1, 0.25, 1.0], help="beta values"),
-        Opt("--out", str, help="write CSV here instead of stdout"),
     ], _cmd_boost_table),
-    "boost-train": ([
-        Opt("--loss", str, default="boost", help="boost or focal"),
-        Opt("--alpha", float, default=0.25),
-        Opt("--beta", float, default=1.0),
-        Opt("--gamma", float, default=2.0),
-        Opt("--epochs", int, default=200),
-        Opt("--lr", float, default=0.5),
-        Opt("--seed", _seed, default=0),
-        Opt("--n", int, default=5000, help="synthetic dataset size"),
-        Opt("--out", str, help="write metrics CSV here instead of stdout"),
-    ], _cmd_boost_train),
+    "boost-train": (_run_config_opts(), _cmd_boost_train),
     "score-stats": ([
         Opt("--in", str, required=True, help="COCO results JSON"),
         Opt("--threshold", float, default=0.4),
         Opt("--edges", floats, default=list(harness.DEFAULT_STAT_EDGES)),
-        Opt("--out", str, help="write CSV here instead of stdout"),
     ], _cmd_score_stats),
 }
+# options of every command besides --config
+_COMMON = [Opt("--out", str, help="write the CSV here instead of stdout")]
 
 
 @functools.cache
@@ -219,8 +196,8 @@ def build_parser() -> _Parser:
     for name, (opts, _) in COMMANDS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", default=None, help="key = value option file")
-        for o in opts:
-            sub.add_argument(o.flag, default=_UNSET, help=o.help)
+        for o in opts + _COMMON:
+            sub.add_argument(o.flag, default=argparse.SUPPRESS, help=o.help)
     return parser
 
 
@@ -228,7 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         opts, handler = COMMANDS[args.command]
-        return handler(_resolve(args, opts))
+        ns = _resolve(args, opts + _COMMON)
+        lines, code = handler(ns)
+        with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write("\n".join(lines) + "\n")
+        return code
     except TrainingError as exc:
         print(f"sodkit: {exc}", file=sys.stderr)
         return 2

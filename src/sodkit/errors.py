@@ -34,4 +34,4 @@ class TrainingError(SodkitError):
 
 
 class EvaluationError(SodkitError):
-    """A user-supplied function returned a non-finite value."""
+    """gradient_check's objective is non-finite at a perturbed point."""

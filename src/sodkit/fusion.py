@@ -24,11 +24,10 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .errors import DimensionError, EvaluationError
-from .numeric import (
-    DEFAULT_LN_EPS, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor,
-)
+from .numeric import _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor
 
 DEFAULT_GRN_EPS = 1e-6
+DEFAULT_LN_EPS = 1e-5
 # cap on the float64s in the perturbed [E, B, params] rows that one stacked
 # forward of gradient_check evaluates; its stacked E holds under half of them
 _FD_CHUNK_FLOATS = 1 << 16

@@ -75,9 +75,9 @@ class Detections:
 @dataclass
 class RunConfig:
     loss: str = "boost"
-    alpha: float = 0.25
-    beta: float = 1.0
-    gamma: float = 2.0
+    alpha: float = BoostConfig.alpha
+    beta: float = BoostConfig.beta
+    gamma: float = BoostConfig.gamma
     epochs: int = 200
     lr: float = 0.5
     seed: int = 0
@@ -224,9 +224,12 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     """Full-batch gradient descent on the toy model; classification gradient
     comes from the configured loss, the box head from squared error on the
     log-scale extents of positives. cfg.epochs == 0 evaluates the freshly
-    initialized model. data is only read."""
+    initialized model. data is only read and must hold cfg.n samples, the
+    count the metrics header reports."""
     cfg.validate()
     n = len(data)
+    if n != cfg.n:
+        raise DomainError(f"dataset has {n} samples, but the config says n={cfg.n}")
     x = _line_aligned_empty((n, FEATURE_DIM))
     np.copyto(x, data.features)
     gt = data.sides

@@ -10,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-DEFAULT_LN_EPS = 1e-5
-
 
 def tensor(data) -> np.ndarray:
     """Coerce to a C-contiguous (row-major) float64 array."""

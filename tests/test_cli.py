@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -488,6 +490,87 @@ def test_cctm_check_numerical_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "cctm-check", "--seed", "1")
     assert code == 2
     assert out.strip().endswith("fail")
+
+
+_RESULTS = [
+    {"image_id": 1, "category_id": 1, "bbox": [0, 0, 4, 4], "score": 0.5},
+    {"image_id": 1, "category_id": 1, "bbox": [0, 0, 100, 100], "score": 0.9},
+]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["clap-plan", "--width", "800", "--height", "600", "--patch-w", "224", "--patch-h", "224"], 0),
+    (["cctm-check", "--seed", "3", "--shape", "1,3,5"], 0),
+    (["cctm-check", "--seed", "1", "FAIL"], 2),
+    (["boost-table", "--sizes", "2x2,8x8,80x80"], 0),
+    (["boost-train", "--n", "200", "--epochs", "3", "--beta", "0.05"], 0),
+    (["score-stats", "--in", "RESULTS", "--edges", "0,32"], 0),
+])
+def test_out_flag_and_config_line_write_the_stdout_bytes(tmp_path, capsys, monkeypatch,
+                                                         argv, code):
+    from sodkit import cli
+
+    if "FAIL" in argv:  # a failing gradient check still writes its line
+        argv = argv[:-1]
+        monkeypatch.setattr(cli.fusion, "gradient_check", lambda seed, shape: 0.5)
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(_RESULTS))
+    argv = [str(results) if a == "RESULTS" else a for a in argv]
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err) == (code, "")
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"out = {by_config}\n")
+    assert run(capsys, *argv, "--out", str(by_flag)) == (code, "", "")
+    assert run(capsys, *argv, "--config", str(cfg)) == (code, "", "")
+    assert by_flag.read_bytes() == by_config.read_bytes() == out.encode()
+
+
+def test_boost_train_without_flags_runs_the_default_run_config(capsys, monkeypatch):
+    from sodkit import cli, harness
+
+    seen = {}
+
+    class Metrics:
+        def csv_lines(self):
+            return ["trained"]
+
+    def synth_dataset(seed, n):
+        seen["data"] = (seed, n)
+        return "data"
+
+    def train_toy(data, cfg):
+        seen["cfg"] = cfg
+        return Metrics()
+
+    monkeypatch.setattr(cli.harness, "synth_dataset", synth_dataset)
+    monkeypatch.setattr(cli.harness, "train_toy", train_toy)
+    assert run(capsys, "boost-train") == (0, "trained\n", "")
+    want = harness.RunConfig()
+    assert seen["data"] == (want.seed, want.n)
+    for f in dataclasses.fields(want):
+        got, default = getattr(seen["cfg"], f.name), getattr(want, f.name)
+        assert (type(got), got) == (type(default), default), f.name
+
+
+def _flags_of(capsys, command):
+    """The flags of a command's usage line, in order."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return re.findall(r"\[(--[\w-]+)", capsys.readouterr().out.split("\n\n")[0])
+
+
+# boost-train's flags are RunConfig's fields: a renamed or added field shows
+# here, and the hypothesis grammar above lists them by hand
+@pytest.mark.parametrize("command,flags", [
+    ("clap-plan", ["--width", "--height", "--patch-w", "--patch-h"]),
+    ("cctm-check", ["--seed", "--shape"]),
+    ("boost-table", ["--image", "--sizes", "--gamma", "--betas"]),
+    ("boost-train", ["--loss", "--alpha", "--beta", "--gamma", "--epochs", "--lr", "--seed", "--n"]),
+    ("score-stats", ["--in", "--threshold", "--edges"]),
+])
+def test_each_command_has_its_pinned_flags(capsys, command, flags):
+    assert _flags_of(capsys, command) == ["--config", *flags, "--out"]
 
 
 def test_console_script_entry_point(tmp_path):

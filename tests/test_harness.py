@@ -340,13 +340,21 @@ def test_train_zero_epochs_reproducible():
 
 
 def test_train_rejects_bad_config():
+    # 10 samples against the default n: the config checks come first
     data = synth_dataset(5, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="loss must be"):
         train_toy(data, RunConfig(loss="hinge"))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="learning rate"):
         train_toy(data, RunConfig(lr=0.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="epochs"):
         train_toy(data, RunConfig(epochs=-1))
+
+
+@pytest.mark.parametrize("n", [1, 99, 101, 5000])
+def test_train_rejects_a_dataset_of_another_size(n):
+    # the CSV header reports cfg.n, so it must be the count trained on
+    with pytest.raises(DomainError, match=rf"dataset has 100 samples, but the config says n={n}$"):
+        train_toy(synth_dataset(0, 100), RunConfig(n=n, epochs=1))
 
 
 def test_train_divergence_raises_with_epoch():
