@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 import typing
 from dataclasses import dataclass, fields
@@ -201,11 +202,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_out(path: str | None) -> None:
+    """Reject an --out path that cannot name a new or existing file before
+    any work is done; the file itself is opened only once the run succeeds,
+    so a failed run neither creates nor truncates it."""
+    if path is None:
+        return
+    if not path:
+        raise CliError("--out: expected a file path, got ''")
+    if os.path.isdir(path):
+        raise CliError(f"--out: {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise CliError(f"--out: no directory {parent!r} to write {path!r} in")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         opts, handler = COMMANDS[args.command]
         ns = _resolve(args, opts + _COMMON)
+        _check_out(ns.out)
         lines, code = handler(ns)
         with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
             fh.write("\n".join(lines) + "\n")

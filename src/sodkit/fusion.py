@@ -162,20 +162,21 @@ class _MlpState:
     cdf: np.ndarray         # normal CDF of pre
 
 
-def _check_bcl(*arrays) -> None:
-    shape = None
-    for a in arrays:
+def _maps(*maps, p: CCTMParams | None = None) -> tuple[np.ndarray, ...]:
+    """The maps as float64 arrays of one [batch, channels, tokens] shape;
+    given p, also checks p and that it has the maps' channel count."""
+    maps = tuple(map(tensor, maps))
+    shape = maps[0].shape
+    for a in maps:
         if a.ndim != 3:
             raise DimensionError(f"expected [batch, channels, tokens], got shape {a.shape}")
-        if shape is None:
-            shape = a.shape
-        elif a.shape != shape:
+        if a.shape != shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {shape}")
-
-
-def _check_channels(x, p: CCTMParams) -> None:
-    if x.shape[1] != p.channels:
-        raise DimensionError(f"channel count {x.shape[1]} != params C={p.channels}")
+    if p is not None:
+        p.validate()
+        if shape[1] != p.channels:
+            raise DimensionError(f"channel count {shape[1]} != params C={p.channels}")
+    return maps
 
 
 def _fc(w, b, x, out):
@@ -192,10 +193,7 @@ def _fc_weight_grad(d, x):
 
 def gate_first(E, p: CCTMParams) -> np.ndarray:
     """First-step gate sigmoid(gelu(LN(FC(E)))), values in (0, 1)."""
-    E = tensor(E)
-    _check_bcl(E)
-    p.validate()
-    _check_channels(E, p)
+    (E,) = _maps(E, p=p)
     return _gate_first_state(E, p, np.empty(E.shape))[0]
 
 
@@ -224,8 +222,7 @@ def _gate_first_state(E, p, scratch):
 
 def cross_first(E, B, e_prime) -> np.ndarray:
     """First crossing: E + B * (1 - E')."""
-    E, B, e_prime = tensor(E), tensor(B), tensor(e_prime)
-    _check_bcl(E, B, e_prime)
+    E, B, e_prime = _maps(E, B, e_prime)
     return E + B * (1.0 - e_prime)
 
 
@@ -233,8 +230,7 @@ def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
     """Global response normalization over [B, C, L]: channels are re-weighted
     by their spatial L2 norm relative to the cross-channel mean norm, with a
     residual: gamma * x * n + beta + x."""
-    x = tensor(x)
-    _check_bcl(x)
+    (x,) = _maps(x)
     gamma, beta = tensor(gamma), tensor(beta)
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -306,10 +302,7 @@ def _mlp_backward(state: _MlpState, w1, w2, d_out, scratch):
 
 def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
     """Second-step gate: product of the two per-stream sigmoid maps."""
-    E, B = tensor(E), tensor(B)
-    _check_bcl(E, B)
-    p.validate()
-    _check_channels(E, p)
+    E, B = _maps(E, B, p=p)
     return _cross_gate_state(E, B, p, np.empty(E.shape))[0]
 
 
@@ -328,17 +321,13 @@ def _cross_gate_state(e1, B, p: CCTMParams, scratch):
 
 def cross_second(E, B, gate) -> np.ndarray:
     """Second crossing: 2 E * gate + B * (1 - gate)."""
-    E, B, gate = tensor(E), tensor(B), tensor(gate)
-    _check_bcl(E, B, gate)
+    E, B, gate = _maps(E, B, gate)
     return 2.0 * E * gate + B * (1.0 - gate)
 
 
 def cctm_forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     """Full fusion block; returns the output and all intermediates."""
-    E, B = tensor(E), tensor(B)
-    _check_bcl(E, B)
-    p.validate()
-    _check_channels(E, p)
+    E, B = _maps(E, B, p=p)
     return _forward(E, B, p)
 
 

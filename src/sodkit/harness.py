@@ -298,18 +298,18 @@ def _metrics(bucket, pos, p, weight, cfg, final_loss) -> TrainMetrics:
     )
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_INT64 = range(-(2**63), 2**63)
 # float() takes these, but a COCO number is a JSON number
 _NOT_NUMBERS = frozenset((str, bool))
+_KEYS = ("image_id", "category_id", "bbox", "score")
 
 
 def ingest_coco_results(path: str) -> Detections:
     """Parse a COCO results JSON array into columns; malformed entries raise
-    ParseError carrying the entry index. A valid file is checked in
-    whole-column passes; a file that fails them is walked entry by entry, so
-    the first bad entry is the one reported. Values are not coerced: a bbox
-    value or score that is a string or a boolean is malformed, and so is an
-    id that is not a JSON integer or lies outside the int64 range."""
+    ParseError carrying the index of the first malformed entry. Each check
+    is one whole-column test. Values are not coerced: a bbox value or score
+    that is a string or a boolean is malformed, and so is an id that is not a
+    JSON integer or lies outside the int64 range."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -317,90 +317,76 @@ def ingest_coco_results(path: str) -> Detections:
             raise ParseError("JSON nested too deeply") from None
     if not isinstance(raw, list):
         raise ParseError("top-level value must be a JSON array")
-    dets = _checked_columns(raw)
-    if dets is None:
-        _raise_first_bad_entry(raw)
-    return dets
+    return _columns(raw)
 
 
-def _checked_columns(raw: list) -> Detections | None:
-    """The entries of raw as columns if every column check passes, else None.
-    The checks accept exactly the entries that _raise_first_bad_entry does."""
+def _float_error(bbox, score) -> str | None:
+    """The message of the first bbox value or score that float() rejects."""
+    try:
+        tuple(map(float, bbox)), float(score)
+    except (TypeError, OverflowError) as exc:
+        return f"non-numeric field: {exc}"
+
+
+def _columns(raw: list) -> Detections:
+    """The entries of raw as columns, or the ParseError of its first
+    malformed entry. The checks run in the order of one entry's checks, each
+    a whole-column test; only a failed one looks for the entry to report."""
+
+    def reject(flags, message) -> NoReturn:
+        """Raise message(i) for the first entry i that flags marks, unless an
+        entry before it fails a later check (at most ten checks deep)."""
+        i = next(i for i, bad in enumerate(flags) if bad)
+        _columns(raw[:i])
+        raise ParseError(message(i), index=i) from None
+
     if not set(map(type, raw)) <= {dict}:
-        return None
+        reject((type(e) is not dict for e in raw), lambda i: "entry is not an object")
     try:
         image_ids = [e["image_id"] for e in raw]
         category_ids = [e["category_id"] for e in raw]
         bboxes = [e["bbox"] for e in raw]
         scores = [e["score"] for e in raw]
     except KeyError:
-        return None
+        missing = [next((k for k in _KEYS if k not in e), None) for e in raw]
+        reject(missing, lambda i: f"missing key {missing[i]!r}")
     if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
-        return None
+        reject((type(b) is not list or len(b) != 4 for b in bboxes),
+               lambda i: f"bbox must be a 4-element array, got {bboxes[i]!r}")
     values = list(chain.from_iterable(bboxes))
-    if not (set(map(type, values)).union(map(type, scores)) <= {int, float}
-            and set(map(type, image_ids)).union(map(type, category_ids)) <= {int}):
-        return None
-    try:  # an id outside int64, or an integer too large for a float
-        dets = Detections(
-            image_id=np.array(image_ids, dtype=np.int64),
-            category_id=np.array(category_ids, dtype=np.int64),
-            bbox=np.array(values, dtype=np.float64).reshape(-1, 4),
-            score=np.array(scores, dtype=np.float64),
-        )
+    value_types = set(map(type, values)).union(map(type, scores))
+    if not _NOT_NUMBERS.isdisjoint(value_types):
+        reject((not _NOT_NUMBERS.isdisjoint(map(type, [s, *b])) for b, s in zip(bboxes, scores)),
+               lambda i: f"non-numeric field: bbox values and score must be JSON numbers, "
+                         f"got bbox={bboxes[i]!r}, score={scores[i]!r}")
+    if not set(map(type, image_ids)).union(map(type, category_ids)) <= {int}:
+        reject((type(a) is not int or type(c) is not int for a, c in zip(image_ids, category_ids)),
+               lambda i: f"id is not a JSON integer (numeric values are not coerced): "
+                         f"image_id={image_ids[i]!r}, category_id={category_ids[i]!r}")
+    try:
+        if not value_types <= {int, float}:  # np.array would read None as NaN
+            raise TypeError
+        bbox = np.array(values, dtype=np.float64).reshape(-1, 4)
+        score = np.array(scores, dtype=np.float64)
+    except (TypeError, OverflowError):  # OverflowError: an integer too large for a float
+        reject(map(_float_error, bboxes, scores), lambda i: _float_error(bboxes[i], scores[i]))
+    finite = np.isfinite(bbox)
+    if not finite.all():
+        reject(~finite.all(axis=1), lambda i: f"non-finite bbox value in {tuple(bbox[i].tolist())}")
+    nonneg = bbox[:, 2:] >= 0.0
+    if not nonneg.all():
+        reject(~nonneg.all(axis=1), lambda i: f"negative box extent in {tuple(bbox[i].tolist())}")
+    score_ok = (score >= 0.0) & (score <= 1.0)
+    if not score_ok.all():
+        reject(~score_ok, lambda i: f"score {score[i].tolist()} outside [0, 1]")
+    try:
+        image_id = np.array(image_ids, dtype=np.int64)
+        category_id = np.array(category_ids, dtype=np.int64)
     except OverflowError:
-        return None
-    bbox, score = dets.bbox, dets.score
-    if not (np.isfinite(bbox).all() and (bbox[:, 2:] >= 0.0).all()
-            and ((score >= 0.0) & (score <= 1.0)).all()):
-        return None
-    return dets
-
-
-def _raise_first_bad_entry(raw: list) -> NoReturn:
-    """Raise the ParseError of the first malformed entry of raw, checking one
-    entry at a time."""
-    isfinite = math.isfinite
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ParseError("entry is not an object", index=i)
-        for key in ("image_id", "category_id", "bbox", "score"):
-            if key not in entry:
-                raise ParseError(f"missing key {key!r}", index=i)
-        bbox, score = entry["bbox"], entry["score"]
-        image_id, category_id = entry["image_id"], entry["category_id"]
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            raise ParseError(f"bbox must be a 4-element array, got {bbox!r}", index=i)
-        if not _NOT_NUMBERS.isdisjoint({type(score), *map(type, bbox)}):
-            raise ParseError(
-                f"non-numeric field: bbox values and score must be JSON numbers, "
-                f"got bbox={bbox!r}, score={score!r}",
-                index=i,
-            )
-        if type(image_id) is not int or type(category_id) is not int:
-            raise ParseError(
-                f"id is not a JSON integer (numeric values are not coerced): "
-                f"image_id={image_id!r}, category_id={category_id!r}",
-                index=i,
-            )
-        try:
-            bbox = tuple(map(float, bbox))
-            score = float(score)
-        except (TypeError, OverflowError) as exc:
-            raise ParseError(f"non-numeric field: {exc}", index=i) from None
-        x, y, w, h = bbox
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-            raise ParseError(f"non-finite bbox value in {bbox}", index=i)
-        if w < 0 or h < 0:
-            raise ParseError(f"negative box extent in {bbox}", index=i)
-        if not 0.0 <= score <= 1.0:
-            raise ParseError(f"score {score} outside [0, 1]", index=i)
-        if not (_INT64_MIN <= image_id <= _INT64_MAX and _INT64_MIN <= category_id <= _INT64_MAX):
-            raise ParseError(
-                f"id outside the int64 range: image_id={image_id}, category_id={category_id}",
-                index=i,
-            )
-    raise RuntimeError("ingest: the column checks rejected a file whose every entry is valid")
+        reject((a not in _INT64 or c not in _INT64 for a, c in zip(image_ids, category_ids)),
+               lambda i: f"id outside the int64 range: "
+                         f"image_id={image_ids[i]}, category_id={category_ids[i]}")
+    return Detections(image_id=image_id, category_id=category_id, bbox=bbox, score=score)
 
 
 @dataclass

@@ -526,6 +526,45 @@ def test_out_flag_and_config_line_write_the_stdout_bytes(tmp_path, capsys, monke
     assert by_flag.read_bytes() == by_config.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("by_config", [False, True])
+@pytest.mark.parametrize("out,needle", [
+    ("", "--out: expected a file path, got ''"),
+    ("nodir/x.csv", "--out: no directory 'nodir'"),
+    ("DIR", "is a directory"),
+])
+def test_unusable_out_path_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   out, needle, by_config):
+    from sodkit import cli
+
+    def never(*args):
+        raise AssertionError("boost-train ran before --out was checked")
+
+    monkeypatch.setattr(cli.harness, "synth_dataset", never)
+    monkeypatch.setattr(cli.harness, "train_toy", never)
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path) if out == "DIR" else out
+    if by_config:
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {out}\n")
+        argv = ["boost-train", "--config", str(cfg)]
+    else:
+        argv = ["boost-train", "--out", out]
+    assert_rejected(*run(capsys, *argv), needle)
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_failed_run_neither_creates_nor_truncates_out(tmp_path, capsys):
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps([{"image_id": 1}]))
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("earlier output\n")
+    for out in (kept, new):
+        assert_rejected(*run(capsys, "score-stats", "--in", str(results), "--out", str(out)),
+                        "entry 0: missing key 'category_id'")
+    assert kept.read_text() == "earlier output\n"
+    assert not new.exists()
+
+
 def test_boost_train_without_flags_runs_the_default_run_config(capsys, monkeypatch):
     from sodkit import cli, harness
 

@@ -440,6 +440,13 @@ def test_ingest_round_trip(tmp_path):
     ({"image_id": 1, "category_id": 1, "bbox": ["0", 2, 3, 4], "score": 0.5}, "JSON numbers"),
     ({"image_id": 1, "category_id": 1, "bbox": [1, 2, True, 4], "score": 0.5}, "JSON numbers"),
     ({"image_id": 1, "category_id": 1, "bbox": [1, 2, 3, 4], "score": False}, "JSON numbers"),
+    ([1, 2, 3, 4], "entry is not an object"),
+    ({"image_id": 1, "category_id": 1, "bbox": {"x": 1, "y": 2, "w": 3, "h": 4}, "score": 0.5},
+     "bbox must be a 4-element array"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, 2, None, 4], "score": 0.5},
+     r"non-numeric field: float\(\) argument .* not 'NoneType'"),
+    ({"image_id": 1, "category_id": 1, "bbox": [1, 2, 3, 4], "score": 2**1100},
+     "non-numeric field: int too large to convert to float"),
 ])
 def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
     good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
@@ -624,16 +631,22 @@ def _valid_entries(n):
             for j in range(n)]
 
 
-def test_ingest_reports_the_first_of_two_bad_entries(tmp_path):
+# each later bad entry fails an earlier check than the one before it, so the
+# entry to report is found only by checking the entries before each failure
+@pytest.mark.parametrize("bad,first", [
+    ({700: {"score": 1.5}, 900: {"bbox": [0, 0, -1, 1]}}, 700),
+    ({200: {"image_id": 2**63}, 500: {"score": 1.5}, 800: {"bbox": [0, "0", 1, 1]}}, 200),
+], ids=["two", "chain-of-three"])
+def test_ingest_reports_the_first_of_two_bad_entries(tmp_path, bad, first):
     entries = _valid_entries(1000)
-    entries[700] = {**entries[700], "score": 1.5}
-    entries[900] = {**entries[900], "bbox": [0, 0, -1, 1]}
+    for i, fields in bad.items():
+        entries[i] = {**entries[i], **fields}
     with pytest.raises(ParseError) as want:
         _ingest_reference(entries)
     with pytest.raises(ParseError) as got:
         ingest_coco_results(_results_file(tmp_path, entries))
-    assert want.value.index == 700
-    assert (got.value.index, str(got.value)) == (700, str(want.value))
+    assert want.value.index == first
+    assert (got.value.index, str(got.value)) == (first, str(want.value))
 
 
 @pytest.mark.parametrize("value", [2**53 + 1, 2**63 + 12345, int(sys.float_info.max) - 2**900])
@@ -664,13 +677,6 @@ def test_ingest_columns_are_c_contiguous(tmp_path, n):
     dets = ingest_coco_results(_results_file(tmp_path, _valid_entries(n)))
     assert all(col.flags.c_contiguous
                for col in (dets.image_id, dets.category_id, dets.bbox, dets.score))
-
-
-def test_ingest_fails_loudly_when_its_two_checks_disagree(tmp_path, monkeypatch):
-    # column checks that reject a valid file must not make it read as empty
-    monkeypatch.setattr(harness, "_checked_columns", lambda raw: None)
-    with pytest.raises(RuntimeError, match="column checks"):
-        ingest_coco_results(_results_file(tmp_path, _valid_entries(3)))
 
 
 def make_dets(rows):
