@@ -12,8 +12,7 @@ unchanged against an older checkout:
 
 The full grid is 5 seeds x 4 settings x 3 sizes x 3 epoch counts = 180
 cases; --quick runs a 16-case subset for a smoke test. OpenBLAS runs one
-thread unless OPENBLAS_NUM_THREADS is set: its thread count changes how the
-matmuls split their sums, and so the last bits and the digest.
+thread unless OPENBLAS_NUM_THREADS is set, the faster setting at these sizes.
 """
 
 import argparse

@@ -172,52 +172,73 @@ def _line_aligned_empty(shape) -> np.ndarray:
 
     np.empty promises 16 bytes, and where a heap block falls in a cache line
     depends on what the process allocated before, so it differs from one
-    process to the next. The trainer's passes over its [n, HIDDEN_DIM]
-    arrays ran 3-8% slower off a line boundary."""
+    process to the next. The trainer's passes over its [HIDDEN_DIM, n]
+    arrays ran about 3% slower off a line boundary."""
     nbytes = math.prod(shape) * 8
     raw = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
     start = -raw.ctypes.data % _CACHE_LINE
     return raw[start:start + nbytes].view(np.float64).reshape(shape)
 
 
+_SAMPLE_BLOCK = 256
+
+
+def _sample_sum_product(a, b) -> np.ndarray:
+    """a @ b.T for a [m, n] and b [k, n] with samples on the last axis,
+    reduced over fixed blocks of _SAMPLE_BLOCK samples: one stacked product
+    of the whole blocks, their sum in block order, then the tail's product.
+
+    OpenBLAS splits one long reduction between its threads, so a plain
+    a @ b.T changes its last bits with the thread count; a block is too
+    short to split, so these bits do not (reproducible summation by fixed
+    blocking, Demmel and Nguyen, ARITH 2013)."""
+    (m, n), k = a.shape, len(b)
+    whole = n - n % _SAMPLE_BLOCK
+    out = a[:, whole:] @ b[:, whole:].T
+    if whole:
+        a_blocks = a[:, :whole].reshape(m, -1, _SAMPLE_BLOCK).transpose(1, 0, 2)
+        b_blocks = b[:, :whole].reshape(k, -1, _SAMPLE_BLOCK).transpose(1, 2, 0)
+        out += np.matmul(a_blocks, b_blocks).sum(axis=0)
+    return out
+
+
 class _ToyModel:
     """Two-layer perceptron with a class-probability head and a box head that
-    predicts extents on the log side scale."""
+    predicts extents on the log side scale. Samples lie on the last axis of
+    every array, and the two heads are one [3, HIDDEN_DIM] weight: row 0
+    gives the class logit, rows 1-2 the logits of the extents h and w."""
 
     def __init__(self, rng: np.random.Generator):
         self.w1 = rng.uniform(-1, 1, (HIDDEN_DIM, FEATURE_DIM)) / math.sqrt(FEATURE_DIM)
-        self.b1 = np.zeros(HIDDEN_DIM)
-        self.w2 = rng.uniform(-1, 1, HIDDEN_DIM) / math.sqrt(HIDDEN_DIM)
-        self.b2 = 0.0
-        self.wb = rng.uniform(-1, 1, (2, HIDDEN_DIM)) / math.sqrt(HIDDEN_DIM)
-        self.bb = np.zeros(2)
+        self.b1 = np.zeros((HIDDEN_DIM, 1))
+        w2 = rng.uniform(-1, 1, HIDDEN_DIM) / math.sqrt(HIDDEN_DIM)
+        wb = rng.uniform(-1, 1, (2, HIDDEN_DIM)) / math.sqrt(HIDDEN_DIM)
+        self.w_head = np.vstack((w2, wb))
+        self.b_head = np.zeros((3, 1))
 
-    def forward(self, x, hidden):
-        """Class probabilities and log-scale extents of x; the hidden layer
-        is written into hidden, an [n, HIDDEN_DIM] buffer."""
-        np.matmul(x, self.w1.T, out=hidden)
+    def forward(self, x, hidden, out):
+        """The heads' outputs for x, [FEATURE_DIM, n], written into out,
+        [3, n]: class probabilities in row 0 and log-scale extents in (0, 1)
+        in rows 1-2. The hidden layer is written into hidden, a
+        [HIDDEN_DIM, n] buffer."""
+        np.matmul(self.w1, x, out=hidden)
         hidden += self.b1
         np.tanh(hidden, out=hidden)
-        p = hidden @ self.w2 + self.b2
-        t_hat = hidden @ self.wb.T + self.bb
-        # the sigmoid of each fresh logit array, in place; t_hat holds
-        # log-scale extents in (0, 1)
-        return _sigmoid_into(p, p), _sigmoid_into(t_hat, t_hat)
+        np.matmul(self.w_head, hidden, out=out)
+        out += self.b_head
+        return _sigmoid_into(out, out)
 
-    def step(self, x, hidden, d_z, d_box_raw, lr, d_pre, scratch):
-        """One gradient step; d_pre and scratch are [n, HIDDEN_DIM] buffers
-        the step overwrites. The products keep the operand order of
-        (d_z w2^T + d_box_raw wb) (1 - hidden^2) and (lr * a.T) @ b."""
-        np.outer(d_z, self.w2, out=d_pre)
-        d_pre += np.matmul(d_box_raw, self.wb, out=scratch)
-        np.multiply(hidden, hidden, out=scratch)
-        d_pre *= np.subtract(1.0, scratch, out=scratch)
-        self.wb -= lr * d_box_raw.T @ hidden
-        self.bb -= lr * d_box_raw.sum(axis=0)
-        self.w2 -= np.multiply(hidden, lr, out=scratch).T @ d_z
-        self.b2 -= lr * d_z.sum()
-        self.w1 -= np.multiply(d_pre, lr, out=scratch).T @ x
-        self.b1 -= lr * d_pre.sum(axis=0)
+    def step(self, x, hidden, d_logits, lr, d_pre):
+        """One gradient step from d_logits, [3, n], the loss gradient with
+        respect to the heads' logits. d_pre is a [HIDDEN_DIM, n] buffer the
+        step overwrites; hidden is used up: it is left holding 1 - hidden^2."""
+        np.matmul(self.w_head.T, d_logits, out=d_pre)
+        self.w_head -= lr * _sample_sum_product(d_logits, hidden)
+        self.b_head -= lr * d_logits.sum(axis=1, keepdims=True)
+        np.multiply(hidden, hidden, out=hidden)
+        d_pre *= np.subtract(1.0, hidden, out=hidden)
+        self.w1 -= lr * _sample_sum_product(d_pre, x)
+        self.b1 -= lr * d_pre.sum(axis=1, keepdims=True)
 
 
 def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
@@ -230,53 +251,61 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     n = len(data)
     if n != cfg.n:
         raise DomainError(f"dataset has {n} samples, but the config says n={cfg.n}")
-    x = _line_aligned_empty((n, FEATURE_DIM))
-    np.copyto(x, data.features)
+    x = _line_aligned_empty((FEATURE_DIM, n))
+    np.copyto(x, data.features.T)
     gt = data.sides
     pos = data.y == 1
     n_pos = max(1, int(pos.sum()))
     loss_cfg = BoostConfig(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, N=n_pos)
-    # run-invariant targets: the encoded sides of positives and cs^beta
-    gt_t_pos = _encode_sides(gt)[pos]
+    # flat indices of the positives' extents in a [3, n] array of head
+    # outputs, (h, w) for each positive in sample order: take and put through
+    # them cost a tenth of a boolean mask on axis 1
+    box_at = (np.flatnonzero(pos)[:, None] + (n, 2 * n)).ravel()
+    # run-invariant targets: the encoded sides of positives in box_at's
+    # order, and cs^beta
+    gt_t_pos = _encode_sides(gt[pos]).ravel()
     cs = np.where(pos, np.sqrt(gt[:, 0] * gt[:, 1]) / IMAGE_SIDE, 0.0)
     cs_beta = cs**cfg.beta
 
     model = _ToyModel(make_rng(cfg.seed))
-    # the epoch's [n, HIDDEN_DIM] arrays, made once: each step reads hidden
-    # before the next forward overwrites it
-    hidden, d_pre, scratch = (_line_aligned_empty((n, HIDDEN_DIM)) for _ in range(3))
-    d_t = np.zeros((n, 2))  # box-loss gradient; rows of negatives stay 0
+    # the epoch's arrays, made once: hidden is written by each forward and
+    # used up by the step after it
+    hidden, d_pre = _line_aligned_empty((HIDDEN_DIM, n)), _line_aligned_empty((HIDDEN_DIM, n))
+    heads, d_logits = np.empty((3, n)), np.empty((3, n))
+    d_heads = np.zeros((3, n))  # loss gradient per head output; negatives' box rows stay 0
 
-    def evaluate(p, t_hat):
+    def evaluate(heads):
         """Loss of one forward's outputs, dL/dp, the positive weights and the
         box residuals t_hat - gt_t of positives."""
         cs_hat = None
         if cfg.loss == "boost":
-            sides = _decode_sides(t_hat)
-            cs_hat = np.sqrt(sides[:, 0] * sides[:, 1]) / IMAGE_SIDE
-        cls, d_p, weight = _cls_loss_and_grad(p, pos, cs_hat, cs_beta, loss_cfg)
-        resid = t_hat[pos] - gt_t_pos
+            sides = _decode_sides(heads[1:])
+            cs_hat = np.sqrt(sides[0] * sides[1]) / IMAGE_SIDE
+        cls, d_p, weight = _cls_loss_and_grad(heads[0], pos, cs_hat, cs_beta, loss_cfg)
+        resid = heads.take(box_at) - gt_t_pos
         return cls + float((resid**2).sum()) / n_pos, d_p, weight, resid
 
     # non-finite intermediates are expected on the way to the loss guard
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p, t_hat = model.forward(x, hidden)
-        loss, d_p, weight, resid = evaluate(p, t_hat)
+        model.forward(x, hidden, heads)
+        loss, d_p, weight, resid = evaluate(heads)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss at epoch 0", epoch=0)
         for epoch in range(cfg.epochs):
-            d_z = d_p * p * (1.0 - p)
-            d_t[pos] = 2.0 * resid / n_pos
-            d_box_raw = d_t * t_hat * (1.0 - t_hat)
+            # d * s * (1 - s) for each head output s and its loss gradient d
+            d_heads[0] = d_p
+            d_heads.put(box_at, 2.0 * resid / n_pos)
+            np.multiply(d_heads, heads, out=d_logits)
+            d_logits *= np.subtract(1.0, heads, out=heads)
 
-            model.step(x, hidden, d_z, d_box_raw, cfg.lr, d_pre, scratch)
+            model.step(x, hidden, d_logits, cfg.lr, d_pre)
             # this forward's loss gradient feeds the next epoch's step
-            p, t_hat = model.forward(x, hidden)
-            loss, d_p, weight, resid = evaluate(p, t_hat)
+            model.forward(x, hidden, heads)
+            loss, d_p, weight, resid = evaluate(heads)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
 
-    return _metrics(data.bucket, pos, p, weight, cfg, loss)
+    return _metrics(data.bucket, pos, heads[0], weight, cfg, loss)
 
 
 def _metrics(bucket, pos, p, weight, cfg, final_loss) -> TrainMetrics:
@@ -337,7 +366,8 @@ def _columns(raw: list) -> Detections:
         """Raise message(i) for the first entry i that flags marks, unless an
         entry before it fails a later check (at most ten checks deep)."""
         i = next(i for i, bad in enumerate(flags) if bad)
-        _columns(raw[:i])
+        if i:
+            _columns(raw[:i])
         raise ParseError(message(i), index=i) from None
 
     if not set(map(type, raw)) <= {dict}:

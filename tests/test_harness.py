@@ -216,8 +216,9 @@ def model_box_samples(data: SynthData, cfg: RunConfig) -> list[BoxSample]:
     """Box samples from the freshly initialized toy model, for checking the
     trainer's loss against the scalar loss API."""
     model = harness._ToyModel(make_rng(cfg.seed))
-    p, t_hat = model.forward(data.features, np.empty((len(data), harness.HIDDEN_DIM)))
-    sides = harness._decode_sides(t_hat)
+    n = len(data)
+    heads = model.forward(data.features.T, np.empty((harness.HIDDEN_DIM, n)), np.empty((3, n)))
+    p, sides = heads[0], harness._decode_sides(heads[1:].T)
     return [
         BoxSample(H=IMAGE_SIDE, W=IMAGE_SIDE, h=h, w=w, y=yi, p=float(p[i]),
                   h_hat=float(sides[i, 0]), w_hat=float(sides[i, 1]))
@@ -280,9 +281,11 @@ def test_train_metrics_match_per_sample_loop(monkeypatch, loss, beta, seed, n, n
     seen = {}
     forward = harness._ToyModel.forward
 
-    def spy(self, x, hidden):
-        seen["p"], seen["t_hat"] = out = forward(self, x, hidden)
-        return out
+    def spy(self, x, hidden, out):
+        heads = forward(self, x, hidden, out)
+        # copies: the trainer reuses the heads buffer
+        seen["p"], seen["t_hat"] = heads[0].copy(), heads[1:].T.copy()
+        return heads
 
     # the last forward's outputs are the final model's
     monkeypatch.setattr(harness._ToyModel, "forward", spy)
@@ -309,7 +312,9 @@ def test_train_twice_is_identical_and_leaves_data_unchanged():
     assert all(np.array_equal(getattr(data, col), v) for col, v in before.items())
 
 
-@pytest.mark.parametrize("shape", [(0, 32), (1, 16), (7, 32), (2000, 32), (2000, 16)])
+@pytest.mark.parametrize("shape", [
+    (0, 32), (1, 16), (7, 32), (2000, 32), (2000, 16), (32, 2000), (16, 2000),
+])
 def test_line_aligned_empty_starts_on_a_cache_line(shape):
     # allocations of odd sizes in between move where the next heap block starts
     keep = []
@@ -321,6 +326,61 @@ def test_line_aligned_empty_starts_on_a_cache_line(shape):
         assert a.flags.c_contiguous and a.flags.writeable
         a[...] = 1.5
         assert np.all(a == 1.5)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 2000])
+@pytest.mark.parametrize("m,k", [(3, harness.HIDDEN_DIM), (harness.HIDDEN_DIM, harness.FEATURE_DIM)])
+def test_sample_sum_product_matches_matmul(n, m, k):
+    rng = make_rng(n)
+    # positive entries: no cancellation, so every entry has a relative error
+    a, b = rng.uniform(0.5, 1.5, (m, n)), rng.uniform(0.5, 1.5, (k, n))
+    got = harness._sample_sum_product(a, b)
+    assert got.shape == (m, k)
+    np.testing.assert_allclose(got, a @ b.T, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("offset", [1, 37, 300])
+def test_sample_sum_product_blocks_start_at_the_first_sample(offset):
+    # the same samples inside wider arrays, from a column that is not a
+    # multiple of the block size, give the same bits as a fresh copy
+    n = 2000
+    rng = make_rng(offset)
+    wide_a = rng.standard_normal((3, n + offset + 5))
+    wide_b = rng.standard_normal((harness.HIDDEN_DIM, n + offset + 5))
+    a, b = wide_a[:, offset:offset + n], wide_b[:, offset:offset + n]
+    got = harness._sample_sum_product(a, b)
+    want = harness._sample_sum_product(a.copy(), b.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_THREAD_GRID = """
+from sodkit.harness import RunConfig, synth_dataset, train_toy
+for seed, loss, beta, epochs in CASES:
+    m = train_toy(synth_dataset(seed, 2000),
+                  RunConfig(loss=loss, beta=beta, epochs=epochs, seed=seed, n=2000))
+    print(repr((m.final_loss, m.bucket_counts, m.bucket_recall, m.bucket_mean_weight)))
+"""
+
+
+def test_train_toy_bits_do_not_depend_on_the_blas_thread_count():
+    import os
+    import pathlib
+    import subprocess
+
+    # at n = 2000 OpenBLAS splits a plain product over the samples between
+    # two threads, and these cases then differed in their last bits; at the
+    # sizes of the quick digest grid they did not
+    cases = [(1, "boost", 1.0, 5), (0, "boost", 0.05, 20), (1, "focal", 1.0, 20)]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", f"CASES = {cases!r}\n" + _THREAD_GRID],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == len(cases)
+    assert outs[0] == outs[1]
 
 
 def test_train_toy_rejects_features_of_the_wrong_length():
@@ -647,6 +707,25 @@ def test_ingest_reports_the_first_of_two_bad_entries(tmp_path, bad, first):
         ingest_coco_results(_results_file(tmp_path, entries))
     assert want.value.index == first
     assert (got.value.index, str(got.value)) == (first, str(want.value))
+
+
+@pytest.mark.parametrize("bad,calls", [({0: {"score": 1.5}}, 1), ({3: {"score": 1.5}}, 2)])
+def test_ingest_checks_the_prefix_only_when_there_is_one(tmp_path, monkeypatch, bad, calls):
+    entries = _valid_entries(5)
+    for i, fields in bad.items():
+        entries[i] = {**entries[i], **fields}
+    seen = []
+    columns = harness._columns
+
+    def spy(raw):
+        seen.append(len(raw))
+        return columns(raw)
+
+    monkeypatch.setattr(harness, "_columns", spy)
+    with pytest.raises(ParseError, match="outside") as info:
+        ingest_coco_results(_results_file(tmp_path, entries))
+    assert info.value.index == min(bad)
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("value", [2**53 + 1, 2**63 + 12345, int(sys.float_info.max) - 2**900])
