@@ -86,6 +86,9 @@ class CCTMParams:
     @classmethod
     def random(cls, c: int, rng: np.random.Generator) -> "CCTMParams":
         """Every array uniform in +-1/sqrt(C); exercises all gradient paths."""
+        # numpy's shape check, which allocates nothing, refuses an extent no
+        # numpy integer holds as the draws would, before np.sqrt meets it
+        (c,) = np.broadcast_shapes((c,))
         bound = 1.0 / np.sqrt(c)
         kwargs = {
             name: rng.uniform(-bound, bound, size=(c, c) if name in _MATRIX_FIELDS else (c,))
@@ -197,12 +200,13 @@ def gate_first(E, p: CCTMParams) -> np.ndarray:
     return _gate_first_state(E, p, np.empty(E.shape))[0]
 
 
-# The forward's state helpers below build each map in place in a fresh
-# C-contiguous array, the layout the out-of-place expression would have, so
-# reductions sum in the same order; a map that is not returned lives in the
-# caller's scratch buffer. Each chain keeps the operations and operand order
-# of the one-line formula in its comment, so the results are those of the
-# formulas bit for bit.
+# Each public step is _maps plus the kernel below that the forward runs, so
+# cctm_forward is their composition bit for bit. A kernel builds each map in
+# place in a fresh C-contiguous array, the layout the out-of-place expression
+# would have, so reductions sum in the same order; a map that is not returned
+# lives in the caller's scratch buffer. Each chain keeps the operations and
+# operand order of the one-line formula in its comment, so the results are
+# those of the formulas bit for bit.
 
 def _gate_first_state(E, p, scratch):
     z = _fc(p.fc1_w, p.fc1_b, E, out=scratch)
@@ -222,8 +226,14 @@ def _gate_first_state(E, p, scratch):
 
 def cross_first(E, B, e_prime) -> np.ndarray:
     """First crossing: E + B * (1 - E')."""
-    E, B, e_prime = _maps(E, B, e_prime)
-    return E + B * (1.0 - e_prime)
+    return _cross_first(*_maps(E, B, e_prime))
+
+
+def _cross_first(E, B, e_prime):
+    # e_cross1 = E + B * (1 - E')
+    e_cross1 = np.subtract(1.0, e_prime, out=np.empty(E.shape))
+    np.multiply(B, e_cross1, out=e_cross1)
+    return np.add(E, e_cross1, out=e_cross1)
 
 
 def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
@@ -322,7 +332,15 @@ def _cross_gate_state(e1, B, p: CCTMParams, scratch):
 def cross_second(E, B, gate) -> np.ndarray:
     """Second crossing: 2 E * gate + B * (1 - gate)."""
     E, B, gate = _maps(E, B, gate)
-    return 2.0 * E * gate + B * (1.0 - gate)
+    return _cross_second(E, B, gate, np.empty(E.shape))
+
+
+def _cross_second(e1, B, gate, scratch):
+    # e_cf = 2 * e1 * gate + B * (1 - gate)
+    e_cf = np.multiply(2.0, e1, out=np.empty(e1.shape))
+    np.multiply(e_cf, gate, out=e_cf)
+    np.multiply(B, np.subtract(1.0, gate, out=scratch), out=scratch)
+    return np.add(e_cf, scratch, out=e_cf)
 
 
 def cctm_forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
@@ -337,24 +355,16 @@ def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     [K, 1, C] parameters; the problems never mix, since LayerNorm and GRN
     reduce within one sample only.
 
-    Every returned map is a fresh array; one scratch buffer holds the maps
-    that are not returned."""
+    Each step is the kernel its public function runs, so the forward is the
+    public steps' composition bit for bit. Every returned map is a fresh
+    array; one scratch buffer holds the maps that are not returned."""
     scratch = np.empty(E.shape)
     e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p, scratch)
-    # e_cross1 = E + B * (1 - E')
-    e_cross1 = np.subtract(1.0, e_prime, out=np.empty(E.shape))
-    np.multiply(B, e_cross1, out=e_cross1)
-    np.add(E, e_cross1, out=e_cross1)
-
+    e_cross1 = _cross_first(E, B, e_prime)
     gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = _cross_gate_state(
         e_cross1, B, p, scratch
     )
-    # e_cf = 2 * e_cross1 * gate + B * (1 - gate)
-    e_cf = np.multiply(2.0, e_cross1, out=np.empty(E.shape))
-    np.multiply(e_cf, gate, out=e_cf)
-    np.multiply(B, np.subtract(1.0, gate, out=scratch), out=scratch)
-    np.add(e_cf, scratch, out=e_cf)
-
+    e_cf = _cross_second(e_cross1, B, gate, scratch)
     acts = CCTMActivations(
         e=E, b=B, e_prime=e_prime, e_cross1=e_cross1, gate=gate, e_cf=e_cf,
         ln_xhat=ln_xhat, ln_inv_std=ln_inv_std, ln_out=ln_out, ln_cdf=ln_cdf,

@@ -65,6 +65,15 @@ def test_cctm_check_rejects_empty_shape(capsys, shape):
     assert_rejected(*run(capsys, "cctm-check", "--shape", shape), ">= 1")
 
 
+# beyond every numpy integer, so np.sqrt(C) cannot take it, and, at 401
+# digits, beyond float64, so math.sqrt(C) cannot either
+@pytest.mark.parametrize("channels", [2**64, 10**400], ids=["2**64", "10**400"])
+def test_cctm_check_rejects_channel_extent_numpy_cannot_hold(capsys, channels):
+    code, out, err = run(capsys, "cctm-check", "--shape", f"1,{channels},1")
+    assert_rejected(code, out, err, "Maximum allowed dimension exceeded")
+    assert "Traceback" not in err
+
+
 def test_boost_table_first_row(capsys):
     code, out, _ = run(capsys, "boost-table", "--sizes", "2x2,8x8,80x80",
                        "--gamma", "0.25", "--betas", "0.05,0.1,0.25,1.0")
@@ -268,10 +277,13 @@ class _Cfg(bytes):
     passes that file's path instead."""
 
 
-# tiny cctm-check problems (each extent <= 3), and malformed or empty shapes
+# tiny cctm-check problems (each extent <= 3), and malformed, empty or huge
+# shapes; a huge extent is refused before any allocation
 _SHAPES = st.one_of(
     st.lists(st.integers(1, 3), min_size=3, max_size=3).map(lambda v: ",".join(map(str, v))),
-    st.lists(st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["", "x", " 2", "1.5"])),
+    st.lists(st.one_of(st.integers(-1, 3).map(str),
+                       st.sampled_from(["", "x", " 2", "1.5", str(2**63), str(2**64),
+                                        str(10**400)])),
              max_size=4).map(",".join),
 )
 _SEEDS = st.one_of(st.integers(-1, 2**40).map(str), st.sampled_from(["", "x", "1e3", "-0"]))

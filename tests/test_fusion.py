@@ -714,6 +714,27 @@ def test_forward_bit_identical_to_frozen_reference(shape, specials):
     _assert_forward_bit_identical(got, want)
 
 
+@pytest.mark.parametrize("shape,specials", [
+    ((2, 64, 1024), False), ((1, 3, 5), False), ((3, 8, 33), False), ((1, 1, 1), False),
+    ((2, 4, 6), True), ((2, 4, 6), "aligned"), ((2, 4, 6), "opposed"),
+])
+def test_public_steps_chain_to_the_forward_bit_for_bit(shape, specials):
+    # the inputs of the frozen forward test's cases; each public step runs
+    # the kernel the forward runs, so chaining them gives its maps exactly
+    e, b, _, p = _problem(shape, 80 + shape[1], specials)
+    if specials == "aligned":
+        b.flat[6:11] = [-np.nan, np.nan, -np.nan, np.nan, -np.nan]
+    with np.errstate(all="ignore"):
+        out, acts = cctm_forward(e, b, p)
+        e_prime = gate_first(e, p)
+        e_cross1 = cross_first(e, b, e_prime)
+        gate = cross_gate(e_cross1, b, p)
+        chained = [e_prime, e_cross1, gate, cross_second(e_cross1, b, gate),
+                   grn(acts.e_cross1, p.grn_gamma, p.grn_beta, p.grn_eps)]
+    for got, want in zip(chained, [acts.e_prime, acts.e_cross1, acts.gate, out, acts.grn_e.out]):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_stacked_forward_bit_identical_to_frozen_reference():
     # the [K, B, C, L] problem gradient_check feeds the forward: strided
     # views of one row matrix, and [K, 1, ...] parameters from with_vector
