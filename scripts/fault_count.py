@@ -11,10 +11,17 @@ peak repeats exactly from run to run, unlike faults or time.
 
 The process runs with the allocator's default settings. Before each op,
 glibc's malloc_trim(0) hands the free pages that earlier ops left in the heap
-back to the kernel, as the benchmark's op cycle happens to do, so a count is
-the fresh pages the call itself needs. Without it the count depends on the
-script's own allocation history: the same code reads anywhere from 0 to the
-full count. Where malloc_trim is missing (not glibc) the ops run without it.
+back to the kernel, as the benchmark's op cycle happens to do, so that the
+script's own allocation history does not decide how many of them a call
+finds. Where malloc_trim is missing (not glibc) the ops run without it.
+
+Every figure is that of a warm step. The maps of 256 KiB and more that the
+warm-up ops freed wait on sodkit's free list, which malloc_trim does not
+reach, so each measured call, the traced one too, builds its maps in pages it
+has already touched. At 2,64,1024 a call reads a few dozen faults and a
+traced peak under 0.3 MiB, where a cold step, which finds the list empty,
+takes about 4,670 faults and 18.04 MiB in the forward and about 800 faults
+and 5.26 MiB in the backward.
 
     python scripts/fault_count.py --shape 2,64,1024 --ops 30
 """

@@ -24,7 +24,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .errors import DimensionError, EvaluationError
-from .numeric import _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor
+from .numeric import _empty, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor
 
 DEFAULT_GRN_EPS = 1e-6
 DEFAULT_LN_EPS = 1e-5
@@ -197,7 +197,7 @@ def _fc_weight_grad(d, x):
 def gate_first(E, p: CCTMParams) -> np.ndarray:
     """First-step gate sigmoid(gelu(LN(FC(E)))), values in (0, 1)."""
     (E,) = _maps(E, p=p)
-    return _gate_first_state(E, p, np.empty(E.shape))[0]
+    return _gate_first_state(E, p, _empty(E.shape))[0]
 
 
 # Each public step is _maps plus the kernel below that the forward runs, so
@@ -213,12 +213,12 @@ def _gate_first_state(E, p, scratch):
     # LayerNorm over the channel axis, per (batch, token) position; the
     # variance takes np.var's own steps on the deviations d = z - mean
     mean = z.mean(axis=-2, keepdims=True)
-    xhat = np.subtract(z, mean, out=np.empty(z.shape))
+    xhat = np.subtract(z, mean, out=_empty(z.shape))
     var = np.add.reduce(np.square(xhat, out=scratch), axis=-2, keepdims=True) / z.shape[-2]
     inv_std = 1.0 / np.sqrt(var + p.ln_eps)
     np.multiply(xhat, inv_std, out=xhat)
     # ln_out = gamma * xhat + beta
-    ln_out = np.multiply(p.ln1_gamma[..., None], xhat, out=np.empty(z.shape))
+    ln_out = np.multiply(p.ln1_gamma[..., None], xhat, out=_empty(z.shape))
     np.add(ln_out, p.ln1_beta[..., None], out=ln_out)
     act, ln_cdf = _gelu_and_cdf(ln_out)
     return _sigmoid_into(act, act), xhat, inv_std, ln_out, ln_cdf
@@ -231,7 +231,7 @@ def cross_first(E, B, e_prime) -> np.ndarray:
 
 def _cross_first(E, B, e_prime):
     # e_cross1 = E + B * (1 - E')
-    e_cross1 = np.subtract(1.0, e_prime, out=np.empty(E.shape))
+    e_cross1 = np.subtract(1.0, e_prime, out=_empty(E.shape))
     np.multiply(B, e_cross1, out=e_cross1)
     return np.add(E, e_cross1, out=e_cross1)
 
@@ -249,7 +249,7 @@ def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
         )
     if not eps > 0:
         raise DimensionError(f"eps must be positive, got {eps}")
-    return _grn_state(x, gamma, beta, eps, np.empty(x.shape)).out
+    return _grn_state(x, gamma, beta, eps, _empty(x.shape)).out
 
 
 def _grn_state(x, gamma, beta, eps, scratch) -> _GrnState:
@@ -257,7 +257,7 @@ def _grn_state(x, gamma, beta, eps, scratch) -> _GrnState:
     denom = norms.mean(axis=-1, keepdims=True) + eps  # [B, 1]
     scale = norms / denom                             # [B, C]
     # out = gamma * x * scale + beta + x
-    out = np.multiply(gamma[..., None], x, out=np.empty(x.shape))
+    out = np.multiply(gamma[..., None], x, out=_empty(x.shape))
     np.multiply(out, scale[..., None], out=out)
     np.add(out, beta[..., None], out=out)
     np.add(out, x, out=out)
@@ -290,9 +290,9 @@ def _grn_backward(state: _GrnState, gamma, d_out, scratch):
 
 def _mlp_state(x, w1, b1, w2, b2) -> tuple[np.ndarray, _MlpState]:
     """The MLP's output, in a fresh array, and the state its backward needs."""
-    pre = _fc(w1, b1, x, out=np.empty(x.shape))
+    pre = _fc(w1, b1, x, out=_empty(x.shape))
     hidden, cdf = _gelu_and_cdf(pre)
-    out = _fc(w2, b2, hidden, out=np.empty(x.shape))
+    out = _fc(w2, b2, hidden, out=_empty(x.shape))
     return out, _MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
 
 
@@ -313,7 +313,7 @@ def _mlp_backward(state: _MlpState, w1, w2, d_out, scratch):
 def cross_gate(E, B, p: CCTMParams) -> np.ndarray:
     """Second-step gate: product of the two per-stream sigmoid maps."""
     E, B = _maps(E, B, p=p)
-    return _cross_gate_state(E, B, p, np.empty(E.shape))[0]
+    return _cross_gate_state(E, B, p, _empty(E.shape))[0]
 
 
 def _cross_gate_state(e1, B, p: CCTMParams, scratch):
@@ -325,19 +325,19 @@ def _cross_gate_state(e1, B, p: CCTMParams, scratch):
     logit_b, mlp_b = _mlp_state(grn_b.out, p.mlp_b_w1, p.mlp_b_b1, p.mlp_b_w2, p.mlp_b_b2)
     sig_e = _sigmoid_into(logit_e, logit_e)
     sig_b = _sigmoid_into(logit_b, logit_b)
-    gate = np.multiply(sig_e, sig_b, out=np.empty(sig_e.shape))
+    gate = np.multiply(sig_e, sig_b, out=_empty(sig_e.shape))
     return gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b
 
 
 def cross_second(E, B, gate) -> np.ndarray:
     """Second crossing: 2 E * gate + B * (1 - gate)."""
     E, B, gate = _maps(E, B, gate)
-    return _cross_second(E, B, gate, np.empty(E.shape))
+    return _cross_second(E, B, gate, _empty(E.shape))
 
 
 def _cross_second(e1, B, gate, scratch):
     # e_cf = 2 * e1 * gate + B * (1 - gate)
-    e_cf = np.multiply(2.0, e1, out=np.empty(e1.shape))
+    e_cf = np.multiply(2.0, e1, out=_empty(e1.shape))
     np.multiply(e_cf, gate, out=e_cf)
     np.multiply(B, np.subtract(1.0, gate, out=scratch), out=scratch)
     return np.add(e_cf, scratch, out=e_cf)
@@ -358,7 +358,7 @@ def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
     Each step is the kernel its public function runs, so the forward is the
     public steps' composition bit for bit. Every returned map is a fresh
     array; one scratch buffer holds the maps that are not returned."""
-    scratch = np.empty(E.shape)
+    scratch = _empty(E.shape)
     e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p, scratch)
     e_cross1 = _cross_first(E, B, e_prime)
     gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = _cross_gate_state(
@@ -387,7 +387,7 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     # d_e1 (returned as d_e), d_b, x_e, x_b and scratch. Each chain keeps the
     # operations and operand order of the one-line formula in its comment,
     # so the results are those of the formulas bit for bit.
-    d_e1, d_b, x_e, x_b, scratch = (np.empty_like(d_out) for _ in range(5))
+    d_e1, d_b, x_e, x_b, scratch = (_empty(d_out.shape) for _ in range(5))
 
     # out = 2 e1 g + B (1 - g)
     # d_e1 = 2 g * d_out; d_gate = (2 e1 - B) * d_out; d_b = (1 - g) * d_out

@@ -7,8 +7,18 @@ numpy arrays in row-major order; every function promotes to float64.
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 from scipy.special import erf
+
+# Arrays of at least _POOL_MIN_BYTES are built in buffers that earlier arrays
+# freed, so that a repeated step reuses pages it has already touched instead
+# of faulting in fresh ones; at most _POOL_MAX_BYTES of freed buffers wait for
+# reuse (see _Pool.give), and the rest go back to the allocator.
+_POOL_MIN_BYTES = 1 << 18
+_POOL_MAX_BYTES = 32 << 20
 
 
 def tensor(data) -> np.ndarray:
@@ -25,18 +35,88 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# The elementwise maps below run as in-place chains into np.empty_like
-# buffers. Every ufunc gets an explicit out=, so a 0-d input stays an array,
+class _Pool:
+    """Freed float64 buffers, keyed by element count."""
+
+    def __init__(self, max_bytes: int):
+        # kept on the instance, so that a buffer freed while the interpreter
+        # shuts down finds it after the module's globals are gone
+        self.max_bytes = max_bytes
+        self.free: dict[int, list[np.ndarray]] = {}
+        self.lock = threading.Lock()
+
+    def take(self, size: int) -> np.ndarray:
+        # pop, not a length test and a pop, which two threads could interleave
+        try:
+            return self.free[size].pop()
+        except (KeyError, IndexError):
+            return np.empty(size)
+
+    def give(self, data: np.ndarray) -> None:
+        """Keep data for reuse if it fits in max_bytes, dropping the
+        buffers of other sizes, first seen first, to make room; a concurrent
+        take only lowers the bytes held."""
+        # a collection can run a _Buffer's __del__ while this thread holds
+        # the lock, so a busy lock drops the buffer instead of waiting on itself
+        if not self.lock.acquire(blocking=False):
+            return
+        try:
+            held = {size: 8 * size * len(bufs) for size, bufs in self.free.items()}
+            if held.get(data.size, 0) + data.nbytes > self.max_bytes:
+                return
+            total = sum(held.values())
+            for size in held:
+                if total + data.nbytes <= self.max_bytes:
+                    break
+                if size != data.size:
+                    del self.free[size]
+                    total -= held[size]
+            self.free.setdefault(data.size, []).append(data)
+        finally:
+            self.lock.release()
+
+
+class _Buffer:
+    """Owner of one pooled buffer, shown to numpy as an array of one shape.
+    Each array made from it holds it as its .base, directly or through the
+    array it views, so it is collected only when no array uses the buffer;
+    then it gives the buffer back to its pool."""
+
+    __slots__ = ("pool", "data", "__array_interface__")
+
+    def __init__(self, pool: _Pool, data: np.ndarray, shape: tuple[int, ...]):
+        self.pool, self.data = pool, data
+        self.__array_interface__ = dict(data.__array_interface__, shape=shape)
+
+    def __del__(self):
+        self.pool.give(self.data)
+
+
+_POOL = _Pool(_POOL_MAX_BYTES)
+
+
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array that shares memory with
+    no live array. One of at least _POOL_MIN_BYTES reuses a freed buffer
+    where one of its size waits, and does not own its data."""
+    size = math.prod(shape)
+    if size * 8 < _POOL_MIN_BYTES:
+        return np.empty(shape)
+    return np.asarray(_Buffer(_POOL, _POOL.take(size), shape))
+
+
+# The elementwise maps below run as in-place chains into _empty buffers.
+# Every ufunc gets an explicit out=, so a 0-d input stays an array,
 # and each chain keeps the operand order of the one-line formula in its
 # docstring, so results (NaN signs included) are those of the formula.
 
 def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
     0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array."""
-    cdf = np.empty_like(x)
+    cdf = _empty(x.shape)
     erf(np.divide(x, np.sqrt(2.0), out=cdf), out=cdf)
     np.add(1.0, cdf, out=cdf)
-    g = np.empty_like(x)
+    g = _empty(x.shape)
     np.multiply(0.5, x, out=g)
     np.multiply(g, cdf, out=g)
     np.multiply(0.5, cdf, out=cdf)
@@ -49,7 +129,7 @@ def _gelu_grad_from_cdf(
     """GELU derivative cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), given the
     normal CDF of x as _gelu_and_cdf returns it; written into out if given,
     which must not share memory with x or cdf."""
-    g = np.empty_like(x) if out is None else out
+    g = _empty(x.shape) if out is None else out
     np.multiply(-0.5, x, out=g)
     np.exp(np.multiply(g, x, out=g), out=g)
     np.multiply(x, g, out=g)
@@ -74,7 +154,7 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     since e lies in [0, 1], and a NaN e passes through it unchanged."""
     # exp(-|x|) lies in [0, 1], so it never overflows; min(x, -x) rather than
     # -abs(x) leaves the sign bit of a NaN input as it is
-    e = np.empty_like(x)
+    e = _empty(x.shape)
     np.exp(np.minimum(x, np.negative(x, out=e), out=e), out=e)
     np.maximum(e, x >= 0, out=out)
     return np.divide(out, np.add(1.0, e, out=e), out=out)
@@ -84,4 +164,4 @@ def sigmoid(x) -> np.ndarray:
     """Logistic function, overflow-free for arbitrarily large |x|:
     where(x >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(min(x, -x))."""
     x = tensor(x)
-    return _sigmoid_into(x, np.empty_like(x))
+    return _sigmoid_into(x, _empty(x.shape))

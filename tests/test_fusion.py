@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sodkit import fusion, make_rng
+from sodkit import fusion, make_rng, numeric
 from sodkit.errors import DimensionError, EvaluationError
 from sodkit.fusion import (
     ARRAY_FIELDS,
@@ -576,6 +579,15 @@ def test_backward_bit_identical_to_frozen_reference(shape, specials):
         assert np.array_equal(_bits(g), _bits(w))
 
 
+# the smallest maps the pool takes: 2 * 16 * 1024 float64s are 256 KiB
+_POOLED = (2, 16, 1024)
+
+
+def _step(e, b, up, p):
+    out, acts = cctm_forward(e, b, p)
+    return out, acts, cctm_backward(acts, p, up)
+
+
 def _reachable_arrays(obj):
     """Every ndarray reachable through dataclass fields, by field path."""
     if isinstance(obj, np.ndarray):
@@ -589,8 +601,8 @@ def _reachable_arrays(obj):
     return {}
 
 
-def test_backward_leaves_inputs_alone_and_returns_fresh_arrays():
-    e, b, up, p = _problem((2, 5, 7), 90)
+def _assert_backward_leaves_inputs_alone_and_returns_fresh_arrays(shape, seed):
+    e, b, up, p = _problem(shape, seed)
     _, acts = cctm_forward(e, b, p)
     arrays = _reachable_arrays(acts)
     assert len(arrays) > 20
@@ -610,18 +622,39 @@ def test_backward_leaves_inputs_alone_and_returns_fresh_arrays():
     assert grads.to_vector().tobytes() == grads2.to_vector().tobytes()
 
 
+def test_backward_leaves_inputs_alone_and_returns_fresh_arrays():
+    _assert_backward_leaves_inputs_alone_and_returns_fresh_arrays((2, 5, 7), 90)
+
+
+def test_backward_at_a_pooled_shape_returns_fresh_arrays():
+    # after a step at the shape has freed its maps for reuse
+    _step(*_problem(_POOLED, 90))
+    _assert_backward_leaves_inputs_alone_and_returns_fresh_arrays(_POOLED, 90)
+
+
+def _empty_pool():
+    """Drop the freed map buffers that wait for reuse, so that the next
+    step allocates every map as a cold step does."""
+    numeric._POOL.free.clear()
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc traces while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_backward_traced_peak_is_about_five_maps():
     # numpy reports its data buffers to tracemalloc, so the peak is exact; one
     # [2, 64, 1024] map is 1 MiB, and the backward holds five of them
     e, b, up, p = _problem((2, 64, 1024), 91)
     _, acts = cctm_forward(e, b, p)
-    tracemalloc.start()
-    try:
-        cctm_backward(acts, p, up)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    _empty_pool()
+    assert _traced_peak(lambda: cctm_backward(acts, p, up)) < 6 * 2**20
 
 
 def _frozen_sigmoid(x):
@@ -749,8 +782,8 @@ def test_stacked_forward_bit_identical_to_frozen_reference():
     _assert_forward_bit_identical(fusion._forward(ne, nb, np_), _frozen_forward(ne, nb, np_))
 
 
-def test_forward_returns_arrays_that_share_no_memory():
-    e, b, _, p = _problem((2, 5, 7), 97)
+def _assert_forward_returns_arrays_that_share_no_memory(shape, seed):
+    e, b, _, p = _problem(shape, seed)
     out, acts = cctm_forward(e, b, p)
     arrays = {id(a): (path, a) for path, a in _reachable_arrays(acts).items()}
     arrays[id(out)] = ("output", out)
@@ -765,14 +798,99 @@ def test_forward_returns_arrays_that_share_no_memory():
             assert not np.shares_memory(a, other), (path, other_path)
 
 
+def test_forward_returns_arrays_that_share_no_memory():
+    _assert_forward_returns_arrays_that_share_no_memory((2, 5, 7), 97)
+
+
+def test_forward_at_a_pooled_shape_returns_arrays_that_share_no_memory():
+    _step(*_problem(_POOLED, 97))
+    _assert_forward_returns_arrays_that_share_no_memory(_POOLED, 97)
+
+
 def test_forward_traced_peak_is_its_returned_maps_and_one_scratch():
     # seventeen returned [2, 64, 1024] maps of 1 MiB each and one scratch map;
     # the out-of-place forward peaked at 18.15 MiB
     e, b, _, p = _problem((2, 64, 1024), 98)
-    tracemalloc.start()
+    _empty_pool()
+    assert _traced_peak(lambda: cctm_forward(e, b, p)) < 18.1 * 2**20
+
+
+def test_warm_step_traced_peak_is_under_one_map():
+    # a step frees every map it made once its results are dropped, so the
+    # next step at the same shape builds all of them in reused buffers
+    e, b, up, p = _problem((2, 64, 1024), 99)
+    _empty_pool()
+    _step(e, b, up, p)
+    assert _traced_peak(lambda: _step(e, b, up, p)) < 2**20
+
+
+def _step_arrays(step):
+    out, acts, (d_e, d_b, grads) = step
+    return [out, d_e, d_b, *_reachable_arrays(acts).values()]
+
+
+def test_pooled_maps_stay_fresh_while_views_of_freed_maps_live():
+    e, b, up, p = _problem(_POOLED, 100)
+    out, acts, (d_e, d_b, grads) = _step(e, b, up, p)
+    # a slice, a reshape and a transpose of activations and gradients,
+    # whose own arrays are then dropped
+    held = [out[1, 3:], acts.gate.reshape(-1, 64), acts.mlp_e.hidden.transpose(2, 0, 1),
+            d_e[:, ::2], d_b.reshape(-1)[5:], acts.sig_b.T]
+    want = [h.tobytes() for h in held]
+    del out, acts, d_e, d_b, grads
+    for _ in range(2):
+        for a in _step_arrays(_step(e, b, up, p)):
+            assert not any(np.shares_memory(a, h) for h in held)
+        assert [h.tobytes() for h in held] == want
+
+
+def _step_digest(e, b, up, p):
+    """sha256 of every array a step returns, taken while they all live."""
+    digest = hashlib.sha256()
+    for a in _step_arrays(_step(e, b, up, p)):
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def test_concurrent_steps_equal_serial_steps():
+    # more threads than cores, switching often, so that takes and gives of
+    # the shared free lists interleave; two threads given one buffer would
+    # overwrite each other's maps
+    problems = [_problem(_POOLED, 101 + k) for k in range(4)]
+    want = [_step_digest(*pr) for pr in problems]
+    got = [[] for _ in problems]
+
+    def run(k):
+        for _ in range(2):
+            got[k].append(_step_digest(*problems[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        cctm_forward(e, b, p)
-        peak = tracemalloc.get_traced_memory()[1]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(problems))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
     finally:
-        tracemalloc.stop()
-    assert peak < 18.1 * 2**20
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w, w] for w in want]
+
+
+def test_freed_buffers_held_never_exceed_the_bound():
+    def held():
+        """Bytes of the freed buffers waiting for reuse, by element count."""
+        return {size: 8 * size * len(bufs) for size, bufs in numeric._POOL.free.items()}
+
+    # maps of 256 KiB, 512 KiB, 1 MiB and 2 MiB; one step at the last shape
+    # alone frees more than the bound
+    for shape in [(1, 8, 4096), (2, 8, 4096), (1, 16, 8192), (4, 8, 8192), (1, 8, 4096)]:
+        e, b, up, p = _problem(shape, 102)
+        result = _step(e, b, up, p)
+        assert sum(held().values()) <= numeric._POOL_MAX_BYTES
+        del result
+        assert sum(held().values()) <= numeric._POOL_MAX_BYTES
+        # the step's buffers displace those of other sizes: at least 16 of
+        # its 22 maps wait for reuse, or half the bound's worth
+        assert held().get(e.size, 0) >= min(16 * e.nbytes, numeric._POOL_MAX_BYTES // 2)
