@@ -357,23 +357,21 @@ def _float_error(bbox, score) -> str | None:
         return f"non-numeric field: {exc}"
 
 
-def _columns(raw: list, known: int = 0) -> Detections:
+def _columns(raw: list) -> Detections:
     """The entries of raw as columns, or the ParseError of its first
     malformed entry. The checks run in the order of one entry's checks, each
-    a whole-column test; only a failed one looks for the entry to report.
-    raw is known to pass the first `known` checks, which are skipped."""
+    a whole-column test; only a failed one looks for the entry to report."""
 
-    def reject(check, flags, message) -> NoReturn:
+    def reject(flags, message) -> NoReturn:
         """Raise message(i) for the first entry i that flags marks, unless an
-        entry before it fails a later check (at most ten checks deep). The
-        entries before i pass this check and every earlier one."""
+        entry before it fails a later check (at most ten checks deep)."""
         i = next(i for i, bad in enumerate(flags) if bad)
         if i:
-            _columns(raw[:i], check)
+            _columns(raw[:i])
         raise ParseError(message(i), index=i) from None
 
-    if known < 1 and not set(map(type, raw)) <= {dict}:
-        reject(1, (type(e) is not dict for e in raw), lambda i: "entry is not an object")
+    if not set(map(type, raw)) <= {dict}:
+        reject((type(e) is not dict for e in raw), lambda i: "entry is not an object")
     try:
         image_ids = [e["image_id"] for e in raw]
         category_ids = [e["category_id"] for e in raw]
@@ -381,20 +379,18 @@ def _columns(raw: list, known: int = 0) -> Detections:
         scores = [e["score"] for e in raw]
     except KeyError:
         missing = [next((k for k in _KEYS if k not in e), None) for e in raw]
-        reject(2, missing, lambda i: f"missing key {missing[i]!r}")
-    if known < 3 and not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
-        reject(3, (type(b) is not list or len(b) != 4 for b in bboxes),
+        reject(missing, lambda i: f"missing key {missing[i]!r}")
+    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
+        reject((type(b) is not list or len(b) != 4 for b in bboxes),
                lambda i: f"bbox must be a 4-element array, got {bboxes[i]!r}")
     values = list(chain.from_iterable(bboxes))
-    # past check 6, every value is known to be an int or a float
-    value_types = set(map(type, values)).union(map(type, scores)) if known < 6 else set()
-    if known < 4 and not _NOT_NUMBERS.isdisjoint(value_types):
-        reject(4, (not _NOT_NUMBERS.isdisjoint(map(type, [s, *b])) for b, s in zip(bboxes, scores)),
+    value_types = set(map(type, values)).union(map(type, scores))
+    if not _NOT_NUMBERS.isdisjoint(value_types):
+        reject((not _NOT_NUMBERS.isdisjoint(map(type, [s, *b])) for b, s in zip(bboxes, scores)),
                lambda i: f"non-numeric field: bbox values and score must be JSON numbers, "
                          f"got bbox={bboxes[i]!r}, score={scores[i]!r}")
-    if known < 5 and not set(map(type, image_ids)).union(map(type, category_ids)) <= {int}:
-        reject(5, (type(a) is not int or type(c) is not int
-                   for a, c in zip(image_ids, category_ids)),
+    if not set(map(type, image_ids)).union(map(type, category_ids)) <= {int}:
+        reject((type(a) is not int or type(c) is not int for a, c in zip(image_ids, category_ids)),
                lambda i: f"id is not a JSON integer (numeric values are not coerced): "
                          f"image_id={image_ids[i]!r}, category_id={category_ids[i]!r}")
     try:
@@ -403,20 +399,21 @@ def _columns(raw: list, known: int = 0) -> Detections:
         bbox = np.array(values, dtype=np.float64).reshape(-1, 4)
         score = np.array(scores, dtype=np.float64)
     except (TypeError, OverflowError):  # OverflowError: an integer too large for a float
-        reject(6, map(_float_error, bboxes, scores), lambda i: _float_error(bboxes[i], scores[i]))
-    if known < 7 and not (finite := np.isfinite(bbox)).all():
-        reject(7, ~finite.all(axis=1),
-               lambda i: f"non-finite bbox value in {tuple(bbox[i].tolist())}")
-    if known < 8 and not (nonneg := bbox[:, 2:] >= 0.0).all():
-        reject(8, ~nonneg.all(axis=1),
-               lambda i: f"negative box extent in {tuple(bbox[i].tolist())}")
-    if known < 9 and not (score_ok := (score >= 0.0) & (score <= 1.0)).all():
-        reject(9, ~score_ok, lambda i: f"score {score[i].tolist()} outside [0, 1]")
+        reject(map(_float_error, bboxes, scores), lambda i: _float_error(bboxes[i], scores[i]))
+    finite = np.isfinite(bbox)
+    if not finite.all():
+        reject(~finite.all(axis=1), lambda i: f"non-finite bbox value in {tuple(bbox[i].tolist())}")
+    nonneg = bbox[:, 2:] >= 0.0
+    if not nonneg.all():
+        reject(~nonneg.all(axis=1), lambda i: f"negative box extent in {tuple(bbox[i].tolist())}")
+    score_ok = (score >= 0.0) & (score <= 1.0)
+    if not score_ok.all():
+        reject(~score_ok, lambda i: f"score {score[i].tolist()} outside [0, 1]")
     try:
         image_id = np.array(image_ids, dtype=np.int64)
         category_id = np.array(category_ids, dtype=np.int64)
     except OverflowError:
-        reject(10, (a not in _INT64 or c not in _INT64 for a, c in zip(image_ids, category_ids)),
+        reject((a not in _INT64 or c not in _INT64 for a, c in zip(image_ids, category_ids)),
                lambda i: f"id outside the int64 range: "
                          f"image_id={image_ids[i]}, category_id={category_ids[i]}")
     return Detections(image_id=image_id, category_id=category_id, bbox=bbox, score=score)

@@ -53,25 +53,16 @@ class _Pool:
             return np.empty(size)
 
     def give(self, data: np.ndarray) -> None:
-        """Keep data for reuse if it fits in max_bytes, dropping the
-        buffers of other sizes, first seen first, to make room; a concurrent
-        take only lowers the bytes held."""
+        """Keep data for reuse if the bytes held stay within max_bytes, else
+        drop it; a concurrent take only lowers the bytes held."""
         # a collection can run a _Buffer's __del__ while this thread holds
         # the lock, so a busy lock drops the buffer instead of waiting on itself
         if not self.lock.acquire(blocking=False):
             return
         try:
-            held = {size: 8 * size * len(bufs) for size, bufs in self.free.items()}
-            if held.get(data.size, 0) + data.nbytes > self.max_bytes:
-                return
-            total = sum(held.values())
-            for size in held:
-                if total + data.nbytes <= self.max_bytes:
-                    break
-                if size != data.size:
-                    del self.free[size]
-                    total -= held[size]
-            self.free.setdefault(data.size, []).append(data)
+            held = sum(8 * size * len(bufs) for size, bufs in self.free.items())
+            if held + data.nbytes <= self.max_bytes:
+                self.free.setdefault(data.size, []).append(data)
         finally:
             self.lock.release()
 
@@ -93,6 +84,12 @@ class _Buffer:
 
 
 _POOL = _Pool(_POOL_MAX_BYTES)
+
+
+def _empty_pool() -> None:
+    """Drop the freed buffers that wait for reuse, so that the next arrays
+    are allocated as in a fresh process; for tests."""
+    _POOL.free.clear()
 
 
 def _empty(shape: tuple[int, ...]) -> np.ndarray:

@@ -716,37 +716,15 @@ def test_ingest_checks_the_prefix_only_when_there_is_one(tmp_path, monkeypatch, 
     seen = []
     columns = harness._columns
 
-    def spy(raw, known=0):
+    def spy(raw):
         seen.append(len(raw))
-        return columns(raw, known)
+        return columns(raw)
 
     monkeypatch.setattr(harness, "_columns", spy)
     with pytest.raises(ParseError, match="outside") as info:
         ingest_coco_results(_results_file(tmp_path, entries))
     assert info.value.index == bad
     assert len(seen) == calls
-
-
-def test_ingest_checks_a_prefix_only_with_the_checks_after_the_failed_one(tmp_path, monkeypatch):
-    # the chain-of-three file: a string bbox value at 800 fails check 4 of
-    # ten, a score at 500 check 9 and an id past int64 at 200 check 10, so
-    # each prefix is known to pass the checks up to the one its end failed
-    entries = _valid_entries(1000)
-    for i, fields in {200: {"image_id": 2**63}, 500: {"score": 1.5},
-                      800: {"bbox": [0, "0", 1, 1]}}.items():
-        entries[i] = {**entries[i], **fields}
-    seen = []
-    columns = harness._columns
-
-    def spy(raw, known=0):
-        seen.append((len(raw), known))
-        return columns(raw, known)
-
-    monkeypatch.setattr(harness, "_columns", spy)
-    with pytest.raises(ParseError, match="int64") as info:
-        ingest_coco_results(_results_file(tmp_path, entries))
-    assert info.value.index == 200
-    assert seen == [(1000, 0), (800, 4), (500, 9), (200, 10)]
 
 
 @pytest.mark.parametrize("value", [2**53 + 1, 2**63 + 12345, int(sys.float_info.max) - 2**900])
