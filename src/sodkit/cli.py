@@ -230,8 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingError as exc:
         print(f"sodkit: {exc}", file=sys.stderr)
         return 2
-    except (SodkitError, OSError, ValueError, MemoryError) as exc:
-        # MemoryError: an array the sizes ask for was refused
+    except MemoryError as exc:
+        # numpy's names the array the sizes ask for; Python's own has no text
+        print(f"sodkit: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except (SodkitError, OSError, ValueError) as exc:
         print(f"sodkit: {exc}", file=sys.stderr)
         return 1
 

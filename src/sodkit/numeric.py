@@ -3,6 +3,10 @@ deterministic RNG.
 
 All operations are pure and keep finite inputs finite. Tensors are plain
 numpy arrays in row-major order; every function promotes to float64.
+
+scipy supplies the exact erf of the GELU and is imported at the first GELU
+evaluated (gelu, gelu_grad or a CCTM forward), not with this module, so
+tiling, the boost loss, the trainer and the COCO reader never load it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 # Arrays of at least _POOL_MIN_BYTES are built in buffers that earlier arrays
 # freed, so that a repeated step reuses pages it has already touched instead
@@ -110,6 +113,10 @@ def _empty(shape: tuple[int, ...]) -> np.ndarray:
 def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
     0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array."""
+    # imported here, its only use, so that what never evaluates a GELU
+    # starts without scipy's ~0.2 s import
+    from scipy.special import erf
+
     cdf = _empty(x.shape)
     erf(np.divide(x, np.sqrt(2.0), out=cdf), out=cdf)
     np.add(1.0, cdf, out=cdf)

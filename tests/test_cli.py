@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodkit.cli import build_parser, main
+from sodkit.cli import COMMANDS, build_parser, main
+
+from test_numeric import fresh_python
 
 
 def run(capsys, *argv):
@@ -105,6 +107,51 @@ def test_boost_train_writes_deterministic_csv(tmp_path, capsys):
 ])
 def test_refused_allocation_exits_1_with_one_line(capsys, argv):
     assert_rejected(*run(capsys, *argv), "Unable to allocate")
+
+
+def test_memory_error_without_text_exits_1_with_one_line(capsys, monkeypatch):
+    # Python's own MemoryError, unlike numpy's, carries no message
+    def refused(ns):
+        raise MemoryError()
+
+    monkeypatch.setitem(COMMANDS, "clap-plan", (COMMANDS["clap-plan"][0], refused))
+    code, out, err = run(capsys, "clap-plan", "--width", "8", "--height", "8",
+                         "--patch-w", "8", "--patch-h", "8")
+    assert (code, out, err) == (1, "", "sodkit: out of memory\n")
+
+
+# scipy supplies only the GELU's erf, so only a command that evaluates a GELU
+# loads it; each case runs in a fresh interpreter, which has imported nothing
+_MAIN_THEN_SCIPY = """\
+import sys
+from sodkit.cli import main
+code = main(sys.argv[1:])
+print("scipy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_import_sodkit_leaves_scipy_unloaded():
+    proc = fresh_python("import sys, sodkit; print('scipy' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("argv,loads_scipy", [
+    (["clap-plan", "--width", "800", "--height", "600", "--patch-w", "224",
+      "--patch-h", "224"], False),
+    (["boost-table", "--sizes", "2x2,8x8,80x80"], False),
+    (["boost-train", "--n", "200", "--epochs", "2"], False),
+    (["score-stats", "--in", "{results}"], False),
+    (["cctm-check", "--seed", "3"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_only_a_gelu_loads_scipy(tmp_path, argv, loads_scipy):
+    results = tmp_path / "r.json"
+    results.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                    "bbox": [0, 0, 20, 20], "score": 0.9}]))
+    proc = fresh_python(_MAIN_THEN_SCIPY, *(a.format(results=results) for a in argv))
+    assert (proc.returncode, proc.stderr) == (0, f"{loads_scipy}\n")
+    if argv[0] == "cctm-check":
+        assert proc.stdout.strip().endswith(",pass")
 
 
 def test_boost_train_rejects_unknown_loss(capsys):

@@ -26,7 +26,7 @@ from sodkit.fusion import (
 )
 from sodkit.numeric import _gelu_and_cdf, _gelu_grad_from_cdf, gelu, gelu_grad, sigmoid
 
-from test_numeric import finite_diff_grad
+from test_numeric import finite_diff_grad, fresh_python
 
 
 def zero_params(c, ln_eps=1e-12):
@@ -874,6 +874,57 @@ def test_concurrent_steps_equal_serial_steps():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w, w] for w in want]
+
+
+_CONCURRENT_FIRST_FORWARD = """\
+import dataclasses, hashlib, sys, threading
+import numpy as np
+from sodkit import CCTMParams, cctm_forward, make_rng
+
+
+def digest(obj, h=None):
+    h = h or hashlib.sha256()
+    if isinstance(obj, np.ndarray):
+        h.update(obj.tobytes())
+    elif isinstance(obj, tuple):
+        for o in obj:
+            digest(o, h)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            digest(getattr(obj, f.name), h)
+    return h.hexdigest()
+
+
+rng = make_rng(5)
+E, B = rng.standard_normal((2, 8, 16)), rng.standard_normal((2, 8, 16))
+p = CCTMParams.random(8, rng)
+assert "scipy" not in sys.modules
+start = threading.Barrier(2)
+got = []
+
+
+def run():
+    start.wait()
+    got.append(digest(cctm_forward(E, B, p)))
+
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=run, daemon=True) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads), "a thread did not finish"
+want = digest(cctm_forward(E, B, p))
+assert got == [want, want], (got, want)
+print("ok")
+"""
+
+
+def test_concurrent_first_forwards_equal_a_serial_forward():
+    # both threads reach the first GELU, and with it scipy's import, at once
+    proc = fresh_python(_CONCURRENT_FIRST_FORWARD)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def test_freed_buffers_held_never_exceed_the_bound():

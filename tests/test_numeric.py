@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,17 @@ from hypothesis import strategies as st
 
 from scipy.special import erf
 
+import sodkit
 from sodkit import gelu, make_rng, sigmoid
 from sodkit.numeric import _gelu_grad_from_cdf, _sigmoid_into, gelu_grad, tensor
 from sodkit.errors import EvaluationError
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this sodkit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sodkit.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def test_gelu_zero():
