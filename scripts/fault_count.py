@@ -20,8 +20,9 @@ warm-up ops freed wait on sodkit's free list, which malloc_trim does not
 reach, so each measured call, the traced one too, builds its maps in pages it
 has already touched. At 2,64,1024 a call reads a few dozen faults and a
 traced peak under 0.3 MiB, where a cold step, which finds the list empty,
-takes about 4,670 faults and 18.04 MiB in the forward and about 800 faults
-and 5.26 MiB in the backward.
+takes about 3,900 faults and 15.04 MiB in the forward (4,670 and 18.04 MiB
+when the forward held 17 maps) and about 800 faults and 5.26 MiB in the
+backward.
 
     python scripts/fault_count.py --shape 2,64,1024 --ops 30
 """

@@ -126,19 +126,18 @@ CCTMGrads = make_dataclass(
 
 @dataclass
 class CCTMActivations:
-    """Forward intermediates needed by the backward pass."""
+    """Forward intermediates needed by the backward pass. The gate, the
+    LayerNorm output and each MLP's GELU output are not held: the backward
+    rebuilds them bit for bit from the maps below."""
 
     e: np.ndarray
     b: np.ndarray
     e_prime: np.ndarray
     e_cross1: np.ndarray
-    gate: np.ndarray
-    e_cf: np.ndarray
     # first-step internals
     ln_xhat: np.ndarray
     ln_inv_std: np.ndarray
-    ln_out: np.ndarray
-    ln_cdf: np.ndarray      # normal CDF of ln_out, shared by gelu and its derivative
+    ln_cdf: np.ndarray      # normal CDF of the LayerNorm output
     # second-step internals, one set per stream
     grn_e: "_GrnState"
     grn_b: "_GrnState"
@@ -161,8 +160,7 @@ class _GrnState:
 class _MlpState:
     x: np.ndarray
     pre: np.ndarray
-    hidden: np.ndarray
-    cdf: np.ndarray         # normal CDF of pre
+    cdf: np.ndarray         # normal CDF of pre; gelu(pre) is pre * cdf
 
 
 def _maps(*maps, p: CCTMParams | None = None) -> tuple[np.ndarray, ...]:
@@ -204,9 +202,10 @@ def gate_first(E, p: CCTMParams) -> np.ndarray:
 # cctm_forward is their composition bit for bit. A kernel builds each map in
 # place in a fresh C-contiguous array, the layout the out-of-place expression
 # would have, so reductions sum in the same order; a map that is not returned
-# lives in the caller's scratch buffer. Each chain keeps the operations and
-# operand order of the one-line formula in its comment, so the results are
-# those of the formulas bit for bit.
+# lives in the caller's scratch buffer, but for each MLP's GELU output, which
+# is freed once read. Each chain keeps the operations and operand order of
+# the one-line formula in its comment, so the results are those of the
+# formulas bit for bit.
 
 def _gate_first_state(E, p, scratch):
     z = _fc(p.fc1_w, p.fc1_b, E, out=scratch)
@@ -217,11 +216,14 @@ def _gate_first_state(E, p, scratch):
     var = np.add.reduce(np.square(xhat, out=scratch), axis=-2, keepdims=True) / z.shape[-2]
     inv_std = 1.0 / np.sqrt(var + p.ln_eps)
     np.multiply(xhat, inv_std, out=xhat)
+    act, ln_cdf = _gelu_and_cdf(_ln_out(xhat, p, out=scratch))
+    return _sigmoid_into(act, act), xhat, inv_std, ln_cdf
+
+
+def _ln_out(xhat, p, out):
     # ln_out = gamma * xhat + beta
-    ln_out = np.multiply(p.ln1_gamma[..., None], xhat, out=_empty(z.shape))
-    np.add(ln_out, p.ln1_beta[..., None], out=ln_out)
-    act, ln_cdf = _gelu_and_cdf(ln_out)
-    return _sigmoid_into(act, act), xhat, inv_std, ln_out, ln_cdf
+    np.multiply(p.ln1_gamma[..., None], xhat, out=out)
+    return np.add(out, p.ln1_beta[..., None], out=out)
 
 
 def cross_first(E, B, e_prime) -> np.ndarray:
@@ -293,14 +295,17 @@ def _mlp_state(x, w1, b1, w2, b2) -> tuple[np.ndarray, _MlpState]:
     pre = _fc(w1, b1, x, out=_empty(x.shape))
     hidden, cdf = _gelu_and_cdf(pre)
     out = _fc(w2, b2, hidden, out=_empty(x.shape))
-    return out, _MlpState(x=x, pre=pre, hidden=hidden, cdf=cdf)
+    return out, _MlpState(x=x, pre=pre, cdf=cdf)
 
 
 def _mlp_backward(state: _MlpState, w1, w2, d_out, scratch):
     """Overwrites d_out with the input gradient; scratch is a [B, C, L]
     buffer whose contents are lost."""
+    # hidden = pre * cdf is the forward's 0.5 * pre * (1 + erf) bit for bit:
+    # halving 1 + erf is exact, and halving pre is inexact only where pre is
+    # subnormal, and there 1 + erf is exactly 1
+    d_w2 = _fc_weight_grad(d_out, np.multiply(state.pre, state.cdf, out=scratch))
     d_hidden = np.matmul(w2.T, d_out, out=scratch)
-    d_w2 = _fc_weight_grad(d_out, state.hidden)
     d_b2 = d_out.sum(axis=(0, 2))
     _gelu_grad_from_cdf(state.pre, state.cdf, out=d_out)
     d_pre = np.multiply(d_hidden, d_out, out=scratch)
@@ -357,31 +362,30 @@ def _forward(E, B, p: CCTMParams) -> tuple[np.ndarray, CCTMActivations]:
 
     Each step is the kernel its public function runs, so the forward is the
     public steps' composition bit for bit. Every returned map is a fresh
-    array; one scratch buffer holds the maps that are not returned."""
+    array. The maps that the backward rebuilds are not returned: the
+    LayerNorm output lives in the one scratch buffer, with the maps no step
+    returns, and the gate and the GELU outputs are freed once read."""
     scratch = _empty(E.shape)
-    e_prime, ln_xhat, ln_inv_std, ln_out, ln_cdf = _gate_first_state(E, p, scratch)
+    e_prime, ln_xhat, ln_inv_std, ln_cdf = _gate_first_state(E, p, scratch)
     e_cross1 = _cross_first(E, B, e_prime)
     gate, grn_e, grn_b, mlp_e, mlp_b, sig_e, sig_b = _cross_gate_state(
         e_cross1, B, p, scratch
     )
-    e_cf = _cross_second(e_cross1, B, gate, scratch)
     acts = CCTMActivations(
-        e=E, b=B, e_prime=e_prime, e_cross1=e_cross1, gate=gate, e_cf=e_cf,
-        ln_xhat=ln_xhat, ln_inv_std=ln_inv_std, ln_out=ln_out, ln_cdf=ln_cdf,
+        e=E, b=B, e_prime=e_prime, e_cross1=e_cross1,
+        ln_xhat=ln_xhat, ln_inv_std=ln_inv_std, ln_cdf=ln_cdf,
         grn_e=grn_e, grn_b=grn_b, mlp_e=mlp_e, mlp_b=mlp_b,
         sig_e=sig_e, sig_b=sig_b,
     )
-    return e_cf, acts
+    return _cross_second(e_cross1, B, gate, scratch), acts
 
 
 def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     """Exact gradients of sum(d_out * output) w.r.t. E, B, and every
     parameter, given activations from cctm_forward with the same params."""
-    d_out = tensor(d_out)
-    if d_out.shape != acts.e_cf.shape:
-        raise DimensionError(f"upstream shape {d_out.shape} != output {acts.e_cf.shape}")
-    if acts.e.shape[1] != p.channels:
-        raise DimensionError("activations do not match params channel count")
+    (d_out,) = _maps(d_out, p=p)
+    if d_out.shape != acts.e.shape:
+        raise DimensionError(f"upstream shape {d_out.shape} != output {acts.e.shape}")
 
     # Every [B, C, L] intermediate lives in one of five buffers made here:
     # d_e1 (returned as d_e), d_b, x_e, x_b and scratch. Each chain keeps the
@@ -390,11 +394,13 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     d_e1, d_b, x_e, x_b, scratch = (_empty(d_out.shape) for _ in range(5))
 
     # out = 2 e1 g + B (1 - g)
-    # d_e1 = 2 g * d_out; d_gate = (2 e1 - B) * d_out; d_b = (1 - g) * d_out
-    np.multiply(np.multiply(2.0, acts.gate, out=d_e1), d_out, out=d_e1)
+    # d_e1 = 2 g * d_out; d_gate = (2 e1 - B) * d_out; d_b = (1 - g) * d_out,
+    # with the forward's gate g = sig_e * sig_b rebuilt in d_b
+    gate = np.multiply(acts.sig_e, acts.sig_b, out=d_b)
+    np.multiply(np.multiply(2.0, gate, out=d_e1), d_out, out=d_e1)
     d_gate = np.multiply(2.0, acts.e_cross1, out=x_b)
     np.multiply(np.subtract(d_gate, acts.b, out=d_gate), d_out, out=d_gate)
-    np.multiply(np.subtract(1.0, acts.gate, out=d_b), d_out, out=d_b)
+    np.multiply(np.subtract(1.0, gate, out=d_b), d_out, out=d_b)
 
     # gate = sig_e * sig_b
     # d_logit_e = d_gate * sig_b * sig_e * (1 - sig_e), into x_e
@@ -426,11 +432,13 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     d_eprime = np.multiply(np.negative(d_e1, out=x_e), acts.b, out=x_e)
 
     # E' = sigmoid(gelu(LN(FC(E))))
-    # d_act = d_eprime * E' * (1 - E'); d_ln_out = d_act * gelu'(ln_out)
+    # d_act = d_eprime * E' * (1 - E'); d_ln_out = d_act * gelu'(ln_out),
+    # with the forward's ln_out rebuilt in x_b
     d_act = np.multiply(d_eprime, acts.e_prime, out=x_e)
     np.multiply(d_act, one_minus_eprime, out=d_act)
+    ln_out = _ln_out(acts.ln_xhat, p, out=x_b)
     d_ln_out = np.multiply(
-        d_act, _gelu_grad_from_cdf(acts.ln_out, acts.ln_cdf, out=scratch), out=x_e
+        d_act, _gelu_grad_from_cdf(ln_out, acts.ln_cdf, out=scratch), out=x_e
     )
     d_ln_gamma = np.multiply(d_ln_out, acts.ln_xhat, out=scratch).sum(axis=(0, 2))
     d_ln_beta = d_ln_out.sum(axis=(0, 2))
