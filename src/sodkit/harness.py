@@ -21,7 +21,7 @@ import numpy as np
 
 from .boost import BoostConfig, _cls_loss_and_grad
 from .errors import DimensionError, DomainError, ParseError, TrainingError
-from .numeric import _sigmoid_into, make_rng, tensor
+from .numeric import _empty, _sigmoid_into, make_rng, tensor
 
 FEATURE_DIM = 16
 HIDDEN_DIM = 32
@@ -164,22 +164,6 @@ def _decode_sides(t):
     return SIDE_RANGE[0] * np.exp(np.asarray(t) * _LOG_SPAN)
 
 
-_CACHE_LINE = 64
-
-
-def _line_aligned_empty(shape) -> np.ndarray:
-    """Uninitialized float64 array whose data starts on a 64-byte cache line.
-
-    np.empty promises 16 bytes, and where a heap block falls in a cache line
-    depends on what the process allocated before, so it differs from one
-    process to the next. The trainer's passes over its [HIDDEN_DIM, n]
-    arrays ran about 3% slower off a line boundary."""
-    nbytes = math.prod(shape) * 8
-    raw = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
-    start = -raw.ctypes.data % _CACHE_LINE
-    return raw[start:start + nbytes].view(np.float64).reshape(shape)
-
-
 _SAMPLE_BLOCK = 256
 
 
@@ -251,7 +235,7 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     n = len(data)
     if n != cfg.n:
         raise DomainError(f"dataset has {n} samples, but the config says n={cfg.n}")
-    x = _line_aligned_empty((FEATURE_DIM, n))
+    x = _empty((FEATURE_DIM, n))
     np.copyto(x, data.features.T)
     gt = data.sides
     pos = data.y == 1
@@ -270,7 +254,7 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     model = _ToyModel(make_rng(cfg.seed))
     # the epoch's arrays, made once: hidden is written by each forward and
     # used up by the step after it
-    hidden, d_pre = _line_aligned_empty((HIDDEN_DIM, n)), _line_aligned_empty((HIDDEN_DIM, n))
+    hidden, d_pre = _empty((HIDDEN_DIM, n)), _empty((HIDDEN_DIM, n))
     heads, d_logits = np.empty((3, n)), np.empty((3, n))
     d_heads = np.zeros((3, n))  # loss gradient per head output; negatives' box rows stay 0
 

@@ -27,6 +27,9 @@ from .numeric import tensor
 
 FixedSizeOp = Callable[[np.ndarray], np.ndarray]
 
+# a plan lists one start per patch, so an axis of more patches is refused
+_MAX_AXIS_PATCHES = 1 << 20
+
 
 @dataclass(frozen=True)
 class PatchGrid:
@@ -64,6 +67,9 @@ def _plan_axis(extent: int, patch: int) -> tuple[int, int, list[int], int]:
     n = max(n, 1)
     if n * patch < extent:
         n += 1
+    if n > _MAX_AXIS_PATCHES:
+        raise TilingError(f"extent {extent} with patch {patch} needs {n} patches on one "
+                          f"axis, more than the bound of {_MAX_AXIS_PATCHES}")
     if n == 1:
         return 1, 0, [0], patch - extent
     overlap = (2 * (n * patch - extent)) // (2 * n - 3)  # floor(.../(n - 1.5))

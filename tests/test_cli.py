@@ -109,6 +109,24 @@ def test_refused_allocation_exits_1_with_one_line(capsys, argv):
     assert_rejected(*run(capsys, *argv), "Unable to allocate")
 
 
+# a plan lists one start per patch, so without the bound on the patch count
+# this command would fill memory; the child runs under a 1 GiB address-space
+# limit, so that a missing bound ends in a MemoryError, not the host's memory
+_CAPPED_MAIN = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sodkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_clap_plan_refuses_a_patch_count_beyond_the_bound():
+    proc = fresh_python(_CAPPED_MAIN, "clap-plan", "--width", str(10**12), "--height", "8",
+                        "--patch-w", "1", "--patch-h", "8")
+    assert_rejected(proc.returncode, proc.stdout, proc.stderr,
+                    f"needs {10**12} patches on one axis, more than the bound of 1048576")
+
+
 def test_memory_error_without_text_exits_1_with_one_line(capsys, monkeypatch):
     # Python's own MemoryError, unlike numpy's, carries no message
     def refused(ns):

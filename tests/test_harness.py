@@ -303,29 +303,16 @@ def test_train_metrics_match_per_sample_loop(monkeypatch, loss, beta, seed, n, n
         assert all(math.isnan(v) for v in got.bucket_recall.values())
 
 
-def test_train_twice_is_identical_and_leaves_data_unchanged():
-    data = synth_dataset(11, 300)
+# at n = 2100 the trainer's arrays are pooled, so the second run takes the
+# buffers that the first gave back
+@pytest.mark.parametrize("n", [300, 2100])
+def test_train_twice_is_identical_and_leaves_data_unchanged(n):
+    data = synth_dataset(11, n)
     before = {col: getattr(data, col).copy() for col in _COLUMNS}
-    cfg = RunConfig(loss="boost", beta=0.05, epochs=15, seed=11, n=300)
+    cfg = RunConfig(loss="boost", beta=0.05, epochs=15, seed=11, n=n)
     first = train_toy(data, cfg).csv_lines()
     assert train_toy(data, cfg).csv_lines() == first
     assert all(np.array_equal(getattr(data, col), v) for col, v in before.items())
-
-
-@pytest.mark.parametrize("shape", [
-    (0, 32), (1, 16), (7, 32), (2000, 32), (2000, 16), (32, 2000), (16, 2000),
-])
-def test_line_aligned_empty_starts_on_a_cache_line(shape):
-    # allocations of odd sizes in between move where the next heap block starts
-    keep = []
-    for pad in range(0, 64, 8):
-        keep.append(np.empty(pad + 1, dtype=np.uint8))
-        a = harness._line_aligned_empty(shape)
-        assert a.size == 0 or a.ctypes.data % 64 == 0  # an empty array has no data
-        assert a.shape == shape and a.dtype == np.float64
-        assert a.flags.c_contiguous and a.flags.writeable
-        a[...] = 1.5
-        assert np.all(a == 1.5)
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 2000])

@@ -13,7 +13,9 @@ from scipy.special import erf
 
 import sodkit
 from sodkit import gelu, make_rng, sigmoid
-from sodkit.numeric import _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad, tensor
+from sodkit.numeric import (
+    _empty, _empty_pool, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad, tensor,
+)
 from sodkit.errors import EvaluationError
 
 
@@ -138,6 +140,31 @@ def test_elementwise_maps_of_0d_input_are_0d_arrays(v):
             got = f(np.array(v))
             assert isinstance(got, np.ndarray) and got.shape == ()
             assert np.array_equal(_bits(got), _bits(ref(np.array([v]))))
+
+
+# pooled shapes: the trainer's [32, n] arrays at n = 2000 and 5000, their
+# transpose, and a CCTM map
+@pytest.mark.parametrize("shape", [(32, 2000), (2000, 32), (32, 5000), (2, 64, 1024)])
+def test_pooled_empty_starts_on_a_cache_line(shape):
+    def check(a):
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+        a[...] = 1.5
+        assert np.all(a == 1.5)
+
+    # allocations of odd sizes in between move where the next heap block starts
+    keep = []
+    for pad in range(0, 64, 8):
+        _empty_pool()
+        keep.append(np.empty(pad + 1, dtype=np.uint8))
+        fresh = _empty(shape)
+        check(fresh)
+        at = fresh.ctypes.data
+        del fresh
+        reused = _empty(shape)
+        assert reused.ctypes.data == at  # the freed buffer, taken back
+        check(reused)
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:

@@ -77,6 +77,18 @@ def test_plan_small_ratio_is_error():
         plan_grid(6, 1, 4, 1)
 
 
+def test_plan_bounds_the_patch_count_of_each_axis():
+    bound = 2**20
+    # 2**20 unit patches, then one more on either axis; a far larger count
+    # runs only in the CLI test, under an address-space limit
+    assert plan_grid(bound, 1, 1, 1).n_w == bound
+    for W, H in ((bound + 1, 1), (1, bound + 1)):
+        with pytest.raises(TilingError, match=f"needs {max(W, H)} patches .* bound of {bound}"):
+            plan_grid(W, H, 1, 1)
+    # a larger patch covers the same extent in a count within the bound
+    assert plan_grid(10**9, 1, 1000, 1).n_w == 10**6
+
+
 def test_plan_rejects_non_positive_extents():
     with pytest.raises(DimensionError):
         plan_grid(0, 5, 4, 4)
