@@ -31,6 +31,12 @@ DEFAULT_LN_EPS = 1e-5
 # cap on the float64s in the perturbed [E, B, params] rows that one stacked
 # forward of gradient_check evaluates; its stacked E holds under half of them
 _FD_CHUNK_FLOATS = 1 << 16
+# bound on the coordinates n = 2BCL + 5C^2 + 9C that gradient_check perturbs.
+# Each perturbed problem holds n floats, and the check's time grew as n^2, at
+# 0.007-0.14 us per unit over nine shapes at one OpenBLAS thread on a 2-vCPU
+# x86-64 host, so the largest check takes about 35 s at most; n * BCL bounds
+# the time only while C is small
+_GRAD_CHECK_MAX_COORDS = 1 << 14
 
 _MATRIX_FIELDS = ("fc1_w", "mlp_b_w1", "mlp_b_w2", "mlp_e_w1", "mlp_e_w2")
 _VECTOR_FIELDS = (
@@ -472,11 +478,18 @@ def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> f
     holding at most _FD_CHUNK_FLOATS perturbed coordinates, and every
     objective is summed as a single forward's would be, so the result is the
     one-forward-per-coordinate result bit for bit."""
-    bsz, c, length = shape
     if min(shape) < 1:
         raise DimensionError(f"every extent of B,C,L must be >= 1, got {shape}")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
+    # numpy's shape check, which allocates nothing, refuses an extent no numpy
+    # integer holds before the bound below names it
+    bsz, c, length = np.broadcast_shapes(shape)
+    coords = 2 * bsz * c * length + 5 * c * c + 9 * c
+    if coords > _GRAD_CHECK_MAX_COORDS:
+        raise DimensionError(
+            f"a gradient check at B,C,L = {bsz},{c},{length} perturbs {coords} coordinates, "
+            f"more than the bound of {_GRAD_CHECK_MAX_COORDS}")
     rng = make_rng(seed)
     p = CCTMParams.random(c, rng)
     E = rng.standard_normal((bsz, c, length))

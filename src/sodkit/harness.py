@@ -21,7 +21,7 @@ import numpy as np
 
 from .boost import BoostConfig, _cls_loss_and_grad
 from .errors import DimensionError, DomainError, ParseError, TrainingError
-from .numeric import _empty, _sigmoid_into, make_rng, tensor
+from .numeric import _empty, _sample_sum_product, _sigmoid_into, make_rng, tensor
 
 FEATURE_DIM = 16
 HIDDEN_DIM = 32
@@ -162,28 +162,6 @@ def _encode_sides(sides):
 def _decode_sides(t):
     """Inverse of _encode_sides; output lies in (2, 512]."""
     return SIDE_RANGE[0] * np.exp(np.asarray(t) * _LOG_SPAN)
-
-
-_SAMPLE_BLOCK = 256
-
-
-def _sample_sum_product(a, b) -> np.ndarray:
-    """a @ b.T for a [m, n] and b [k, n] with samples on the last axis,
-    reduced over fixed blocks of _SAMPLE_BLOCK samples: one stacked product
-    of the whole blocks, their sum in block order, then the tail's product.
-
-    OpenBLAS splits one long reduction between its threads, so a plain
-    a @ b.T changes its last bits with the thread count; a block is too
-    short to split, so these bits do not (reproducible summation by fixed
-    blocking, Demmel and Nguyen, ARITH 2013)."""
-    (m, n), k = a.shape, len(b)
-    whole = n - n % _SAMPLE_BLOCK
-    out = a[:, whole:] @ b[:, whole:].T
-    if whole:
-        a_blocks = a[:, :whole].reshape(m, -1, _SAMPLE_BLOCK).transpose(1, 0, 2)
-        b_blocks = b[:, :whole].reshape(k, -1, _SAMPLE_BLOCK).transpose(1, 2, 0)
-        out += np.matmul(a_blocks, b_blocks).sum(axis=0)
-    return out
 
 
 class _ToyModel:

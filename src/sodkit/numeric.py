@@ -1,17 +1,25 @@
-"""Dense-tensor primitives: float64 arrays, elementary nonlinearities and a
-deterministic RNG.
+"""Dense-tensor primitives: float64 arrays, elementary nonlinearities, a
+sample reduction in a fixed order and a deterministic RNG.
 
 All operations are pure and keep finite inputs finite. Tensors are plain
 numpy arrays in row-major order; every function promotes to float64.
 
-scipy supplies the exact erf of the GELU and is imported at the first GELU
-evaluated (gelu, gelu_grad or a CCTM forward), not with this module, so
-tiling, the boost loss, the trainer and the COCO reader never load it.
+scipy supplies the exact erf of the GELU. The first GELU evaluated (gelu,
+gelu_grad or a CCTM forward) loads it, once; importing this module does not,
+so tiling, the boost loss, the trainer and the COCO reader never load it. The
+load runs only the extension module that defines the erf ufunc, not the
+scipy.special package, which costs about 0.2 s and 25 MB more. Once
+scipy.special is imported, or on a scipy without that module, the GELU takes
+scipy.special's own erf.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 
 import numpy as np
@@ -111,6 +119,76 @@ def _empty(shape: tuple[int, ...]) -> np.ndarray:
     return np.asarray(_Buffer(_POOL, _POOL.take(size), shape))
 
 
+_SAMPLE_BLOCK = 256
+
+
+def _sample_sum_product(a, b) -> np.ndarray:
+    """a @ b.T for a [m, n] and b [k, n] with samples on the last axis,
+    reduced over fixed blocks of _SAMPLE_BLOCK samples: one stacked product
+    of the whole blocks, their sum in block order, then the tail's product.
+
+    OpenBLAS splits one long reduction between its threads, so a plain
+    a @ b.T changes its last bits with the thread count; a block is too
+    short to split, so these bits do not (reproducible summation by fixed
+    blocking, Demmel and Nguyen, ARITH 2013)."""
+    (m, n), k = a.shape, len(b)
+    whole = n - n % _SAMPLE_BLOCK
+    out = a[:, whole:] @ b[:, whole:].T
+    if whole:
+        a_blocks = a[:, :whole].reshape(m, -1, _SAMPLE_BLOCK).transpose(1, 0, 2)
+        b_blocks = b[:, :whole].reshape(k, -1, _SAMPLE_BLOCK).transpose(1, 2, 0)
+        out += np.matmul(a_blocks, b_blocks).sum(axis=0)
+    return out
+
+
+# the extension module of scipy.special that defines the erf ufunc in recent
+# scipy releases (1.17 among them); scipy.special imports it under this name,
+# so it reuses one already loaded
+_ERF_MODULE = "scipy.special._special_ufuncs"
+_ERF_LOCK = threading.Lock()
+_erf = None
+
+
+def _load_erf():
+    """scipy's erf ufunc, loaded at the first call and kept."""
+    global _erf
+    with _ERF_LOCK:
+        if _erf is None:
+            _erf = _find_erf()
+        return _erf
+
+
+def _find_erf():
+    """erf of _ERF_MODULE unless scipy.special is imported, loading that
+    module alone if it is not loaded yet; else, or on a scipy whose
+    _ERF_MODULE is missing or lacks erf, erf imported from scipy.special."""
+    if "scipy.special" not in sys.modules:
+        module = sys.modules.get(_ERF_MODULE) or _load_special_extension(_ERF_MODULE)
+        if hasattr(module, "erf"):
+            return module.erf
+    from scipy.special import erf
+    return erf
+
+
+def _load_special_extension(name: str):
+    """The extension module name of scipy.special, loaded without running
+    scipy's or scipy.special's __init__ and left in sys.modules; None if scipy
+    has no such file."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    spec = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "special"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 # The elementwise maps below run as in-place chains into _empty buffers.
 # Every ufunc gets an explicit out=, so a 0-d input stays an array,
 # and each chain keeps the operand order of the one-line formula in its
@@ -119,10 +197,9 @@ def _empty(shape: tuple[int, ...]) -> np.ndarray:
 def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
     0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array."""
-    # imported here, its only use, so that what never evaluates a GELU
-    # starts without scipy's ~0.2 s import
-    from scipy.special import erf
-
+    # loaded at the first GELU, not with this module, so that what never
+    # evaluates one starts without scipy
+    erf = _load_erf()
     cdf = _empty(x.shape)
     erf(np.divide(x, np.sqrt(2.0), out=cdf), out=cdf)
     np.add(1.0, cdf, out=cdf)

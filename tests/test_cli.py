@@ -100,13 +100,17 @@ def test_boost_train_writes_deterministic_csv(tmp_path, capsys):
 
 
 # the first array of each is over 2**48 bytes, beyond any x86-64 user address
-# space, so the allocation is refused whatever the host's overcommit policy
+# space, so the allocation is refused whatever the host's overcommit policy;
+# cctm-check meets its bound on the coordinate count before any allocation
+_REFUSED = {"cctm-check": "more than the bound of 16384", "boost-train": "Unable to allocate"}
+
+
 @pytest.mark.parametrize("argv", [
     ["cctm-check", "--shape", "1,10000000,1"],                   # a C x C weight
     ["boost-train", "--n", "100000000000000", "--epochs", "1"],  # [n, 2] box sides
 ])
 def test_refused_allocation_exits_1_with_one_line(capsys, argv):
-    assert_rejected(*run(capsys, *argv), "Unable to allocate")
+    assert_rejected(*run(capsys, *argv), _REFUSED[argv[0]])
 
 
 # a plan lists one start per patch, so without the bound on the patch count
@@ -127,6 +131,14 @@ def test_clap_plan_refuses_a_patch_count_beyond_the_bound():
                     f"needs {10**12} patches on one axis, more than the bound of 1048576")
 
 
+# a gradient check at perfbench's CCTM step would take about 2 h; the bound
+# refuses it at once, so the capped child exits well inside its timeout
+def test_cctm_check_refuses_a_shape_beyond_the_bound():
+    proc = fresh_python(_CAPPED_MAIN, "cctm-check", "--shape", "2,64,1024")
+    assert_rejected(proc.returncode, proc.stdout, proc.stderr,
+                    "perturbs 283200 coordinates, more than the bound of 16384")
+
+
 def test_memory_error_without_text_exits_1_with_one_line(capsys, monkeypatch):
     # Python's own MemoryError, unlike numpy's, carries no message
     def refused(ns):
@@ -139,12 +151,15 @@ def test_memory_error_without_text_exits_1_with_one_line(capsys, monkeypatch):
 
 
 # scipy supplies only the GELU's erf, so only a command that evaluates a GELU
-# loads it; each case runs in a fresh interpreter, which has imported nothing
+# loads scipy code, and it loads the erf extension module alone, never the
+# scipy.special package; each case runs in a fresh interpreter, which has
+# imported nothing
 _MAIN_THEN_SCIPY = """\
 import sys
 from sodkit.cli import main
 code = main(sys.argv[1:])
-print("scipy" in sys.modules, file=sys.stderr)
+print("scipy.special" in sys.modules, "scipy.special._special_ufuncs" in sys.modules,
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -154,7 +169,7 @@ def test_import_sodkit_leaves_scipy_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
-@pytest.mark.parametrize("argv,loads_scipy", [
+@pytest.mark.parametrize("argv,loads_erf", [
     (["clap-plan", "--width", "800", "--height", "600", "--patch-w", "224",
       "--patch-h", "224"], False),
     (["boost-table", "--sizes", "2x2,8x8,80x80"], False),
@@ -162,12 +177,12 @@ def test_import_sodkit_leaves_scipy_unloaded():
     (["score-stats", "--in", "{results}"], False),
     (["cctm-check", "--seed", "3"], True),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
-def test_only_a_gelu_loads_scipy(tmp_path, argv, loads_scipy):
+def test_only_a_gelu_loads_scipy(tmp_path, argv, loads_erf):
     results = tmp_path / "r.json"
     results.write_text(json.dumps([{"image_id": 1, "category_id": 1,
                                     "bbox": [0, 0, 20, 20], "score": 0.9}]))
     proc = fresh_python(_MAIN_THEN_SCIPY, *(a.format(results=results) for a in argv))
-    assert (proc.returncode, proc.stderr) == (0, f"{loads_scipy}\n")
+    assert (proc.returncode, proc.stderr) == (0, f"False {loads_erf}\n")
     if argv[0] == "cctm-check":
         assert proc.stdout.strip().endswith(",pass")
 

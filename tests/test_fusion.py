@@ -417,6 +417,27 @@ def test_gradient_check_non_finite_objective_names_coordinate():
         gradient_check(0, (1, 3, 5), h=1e200)
 
 
+# n = 2BCL + 5C^2 + 9C coordinates: 380 at (3, 5, 7), 410 at (3, 5, 8), 16386
+# at (1, 1, 8186), 16872 at (1, 57, 1) and 283200 at (2, 64, 1024)
+def test_gradient_check_runs_up_to_the_coordinate_bound(monkeypatch):
+    monkeypatch.setattr(fusion, "_GRAD_CHECK_MAX_COORDS", 380)
+    assert gradient_check(0, (3, 5, 7)) < 1e-4
+    with pytest.raises(DimensionError, match="perturbs 410 coordinates, more than the bound of 380"):
+        gradient_check(0, (3, 5, 8))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 8186), (1, 57, 1), (2, 64, 1024)])
+def test_gradient_check_refuses_a_shape_beyond_the_bound_before_drawing(monkeypatch, shape):
+    def drawn(*args):
+        raise AssertionError("drew a problem")
+
+    monkeypatch.setattr(CCTMParams, "random", drawn)
+    b, c, length = shape
+    with pytest.raises(DimensionError, match=f"perturbs {2 * b * c * length + 5 * c * c + 9 * c} "
+                                             f"coordinates, more than the bound of 16384$"):
+        gradient_check(0, shape)
+
+
 def test_params_validate_rejects_inconsistent_extents():
     p = CCTMParams.random(3, make_rng(50))
     p.mlp_e_w2 = np.zeros((3, 2))
@@ -985,12 +1006,13 @@ for t in threads:
 assert not any(t.is_alive() for t in threads), "a thread did not finish"
 want = digest(cctm_forward(E, B, p))
 assert got == [want, want], (got, want)
+assert "scipy.special" not in sys.modules
 print("ok")
 """
 
 
 def test_concurrent_first_forwards_equal_a_serial_forward():
-    # both threads reach the first GELU, and with it scipy's import, at once
+    # both threads reach the first GELU, and with it the erf load, at once
     proc = fresh_python(_CONCURRENT_FIRST_FORWARD)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodkit import harness, make_rng
+from sodkit import harness, make_rng, numeric
 from sodkit.boost import (
     BoostConfig, BoxSample, _cls_loss_and_grad, boost_loss, boost_loss_grad, focal_loss,
     focal_loss_grad,
@@ -315,13 +315,14 @@ def test_train_twice_is_identical_and_leaves_data_unchanged(n):
     assert all(np.array_equal(getattr(data, col), v) for col, v in before.items())
 
 
+# the trainer's fixed-order reduction, which numeric holds
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 2000])
 @pytest.mark.parametrize("m,k", [(3, harness.HIDDEN_DIM), (harness.HIDDEN_DIM, harness.FEATURE_DIM)])
 def test_sample_sum_product_matches_matmul(n, m, k):
     rng = make_rng(n)
     # positive entries: no cancellation, so every entry has a relative error
     a, b = rng.uniform(0.5, 1.5, (m, n)), rng.uniform(0.5, 1.5, (k, n))
-    got = harness._sample_sum_product(a, b)
+    got = numeric._sample_sum_product(a, b)
     assert got.shape == (m, k)
     np.testing.assert_allclose(got, a @ b.T, rtol=1e-12, atol=0)
 
@@ -335,8 +336,8 @@ def test_sample_sum_product_blocks_start_at_the_first_sample(offset):
     wide_a = rng.standard_normal((3, n + offset + 5))
     wide_b = rng.standard_normal((harness.HIDDEN_DIM, n + offset + 5))
     a, b = wide_a[:, offset:offset + n], wide_b[:, offset:offset + n]
-    got = harness._sample_sum_product(a, b)
-    want = harness._sample_sum_product(a.copy(), b.copy())
+    got = numeric._sample_sum_product(a, b)
+    want = numeric._sample_sum_product(a.copy(), b.copy())
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -142,6 +142,87 @@ def test_elementwise_maps_of_0d_input_are_0d_arrays(v):
             assert np.array_equal(_bits(got), _bits(ref(np.array([v]))))
 
 
+# Each case below runs in a fresh interpreter, where no erf is loaded yet.
+# _GELU_BITS, appended to a case, requires gelu and gelu_grad to give the bits
+# of their formulas evaluated with scipy.special.erf. Each formula names its
+# intermediates: on arrays of 256 KiB or more, numpy evaluates `a + (b * c)`
+# in the temporary b * c, as `(b * c) + a`, which can give another NaN sign
+_GELU_BITS = """
+import math
+import numpy as np
+import scipy.special
+from sodkit import gelu, make_rng
+from sodkit.numeric import gelu_grad
+specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 6.0, -6.0, 27.0, -27.0,
+            math.inf, -math.inf, math.nan, -math.nan]
+x = np.concatenate([specials, make_rng(0).standard_normal(10**5)])
+with np.errstate(all="ignore"):
+    one_plus_erf = 1.0 + scipy.special.erf(x / np.sqrt(2.0))
+    half_x = 0.5 * x
+    cdf = 0.5 * one_plus_erf
+    gauss = np.exp(-0.5 * x * x)
+    tail = x * gauss / np.sqrt(2.0 * np.pi)
+    pairs = [(gelu(x), half_x * one_plus_erf), (gelu_grad(x), cdf + tail)]
+for got, want in pairs:
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+print("bits ok")
+"""
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_gelu_loads_only_the_erf_extension_and_scipy_special_reuses_it():
+    proc = fresh_python(f"""
+import math, sys
+import numpy as np
+from sodkit import gelu, numeric
+gelu(np.ones(3))
+assert {_SCIPY_MODULES} == [numeric._ERF_MODULE], {_SCIPY_MODULES}
+import scipy.special
+assert scipy.special.erf is numeric._erf is sys.modules[numeric._ERF_MODULE].erf
+# a ufunc of another extension module, which the load left alone
+assert scipy.special.expn(0, 1.0) == 1.0 / math.e
+""" + _GELU_BITS)
+    assert (proc.returncode, proc.stdout) == (0, "bits ok\n"), proc.stderr
+
+
+def test_gelu_takes_the_erf_of_an_imported_scipy_special():
+    proc = fresh_python(f"""
+import sys
+import numpy as np
+import scipy.special
+from sodkit import gelu, numeric
+
+
+def refused(name):
+    raise AssertionError(f"loaded {{name}}")
+
+
+numeric._load_special_extension = refused
+before = {_SCIPY_MODULES}
+gelu(np.ones(3))
+assert numeric._erf is scipy.special.erf
+assert {_SCIPY_MODULES} == before
+""" + _GELU_BITS)
+    assert (proc.returncode, proc.stdout) == (0, "bits ok\n"), proc.stderr
+
+
+# a module name that scipy lacks, and a scipy.special extension without erf
+@pytest.mark.parametrize("module", ["scipy.special._no_such_module", "scipy.special._comb"])
+def test_gelu_without_the_erf_extension_imports_scipy_special(module):
+    proc = fresh_python(f"""
+import sys
+import numpy as np
+from sodkit import gelu, numeric
+numeric._ERF_MODULE = {module!r}
+gelu(np.ones(3))
+assert "scipy.special" in sys.modules
+assert numeric._erf is sys.modules["scipy.special"].erf
+""" + _GELU_BITS)
+    assert (proc.returncode, proc.stdout) == (0, "bits ok\n"), proc.stderr
+
+
 # pooled shapes: the trainer's [32, n] arrays at n = 2000 and 5000, their
 # transpose, and a CCTM map
 @pytest.mark.parametrize("shape", [(32, 2000), (2000, 32), (32, 5000), (2, 64, 1024)])

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
      "call,shape,ops,median_minor_faults,tracemalloc_peak_mib,median_ms"),
     ("train_digest.py", ["--quick"], "cases,sha256"),
     ("ingest_split.py", ["--entries", "50", "--calls", "3"], "stage,entries,calls,median_ms"),
-    ("cold_start.py", ["--runs", "1"], "command,runs,median_ms,scipy_loaded"),
+    ("cold_start.py", ["--runs", "1"], "command,runs,median_ms,scipy_load"),
     ("cctm_digest.py", ["--quick"], "cases,sha256"),
 ])
 def test_script_runs(script, args, header):
