@@ -5,9 +5,10 @@ For each of the five commands, starts --runs fresh interpreters one after
 another, never two at once, each running `sodkit.cli.main` once on a small
 fixed input, and prints the median wall time from process start to exit.
 That time includes the interpreter's start-up and every import the command
-makes. `scipy_load` says what of scipy was in `sys.modules` when the command
-returned: `none`, `erf` (the extension module that defines the GELU's erf,
-alone) or `scipy.special` (the whole package). The interpreters see the
+makes. `scipy_load` says what of scipy the command had loaded when it
+returned: `scipy.special` (the whole package, in `sys.modules`), else `erf`
+(the GELU's erf, loaded from its extension module alone, which leaves
+`sys.modules` as it was), else `none`. The interpreters see the
 environment this script runs in, so the script measures the checkout that
 PYTHONPATH names:
 
@@ -27,11 +28,12 @@ from pathlib import Path
 # there, what of scipy it loaded
 _CHILD = """\
 import sys
+from sodkit import numeric
 from sodkit.cli import main
 code = main(sys.argv[1:])
 if "scipy.special" in sys.modules:
     print("scipy.special", file=sys.stderr)
-elif "scipy.special._special_ufuncs" in sys.modules:
+elif numeric._erf is not None:
     print("erf", file=sys.stderr)
 else:
     print("none", file=sys.stderr)

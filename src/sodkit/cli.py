@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from . import fusion, harness, tiling
 from .boost import weight_table
-from .errors import SodkitError, TrainingError
+from .errors import EvaluationError, SodkitError, TrainingError
 
 GRAD_CHECK_TOL = 1e-4
 
@@ -227,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
             fh.write("\n".join(lines) + "\n")
         return code
-    except TrainingError as exc:
+    except (TrainingError, EvaluationError) as exc:
         print(f"sodkit: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -108,6 +108,9 @@ class CCTMParams:
         """Copy of self with all arrays replaced from a flat vector. Leading
         axes of vec stay leading axes of every array, so a [K, 1, n] stack of
         vectors gives the [K, 1, ...] problem axis the forward broadcasts."""
+        n = sum(getattr(self, name).size for name in ARRAY_FIELDS)
+        if vec.shape[-1] != n:
+            raise DimensionError(f"vector length {vec.shape[-1]}, expected {n}")
         out = {}
         off = 0
         lead = vec.shape[:-1]
@@ -115,8 +118,6 @@ class CCTMParams:
             arr = getattr(self, name)
             out[name] = vec[..., off : off + arr.size].reshape(lead + arr.shape).copy()
             off += arr.size
-        if off != vec.shape[-1]:
-            raise DimensionError(f"vector length {vec.shape[-1]}, expected {off}")
         return CCTMParams(**out, grn_eps=self.grn_eps, ln_eps=self.ln_eps)
 
 
@@ -513,7 +514,9 @@ def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> f
         ne = rows[:, : E.size].reshape((2 * k,) + E.shape)
         nb = rows[:, E.size : 2 * E.size].reshape((2 * k,) + B.shape)
         np_ = p.with_vector(rows[:, None, 2 * E.size :])
-        f = (w * _forward(ne, nb, np_)[0]).reshape(2 * k, -1).sum(axis=1)
+        # a non-finite objective is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = (w * _forward(ne, nb, np_)[0]).reshape(2 * k, -1).sum(axis=1)
         fp, fm = f[:k], f[k:]
         bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
         if bad.size:

@@ -7,10 +7,10 @@ numpy arrays in row-major order; every function promotes to float64.
 scipy supplies the exact erf of the GELU. The first GELU evaluated (gelu,
 gelu_grad or a CCTM forward) loads it, once; importing this module does not,
 so tiling, the boost loss, the trainer and the COCO reader never load it. The
-load runs only the extension module that defines the erf ufunc, not the
-scipy.special package, which costs about 0.2 s and 25 MB more. Once
-scipy.special is imported, or on a scipy without that module, the GELU takes
-scipy.special's own erf.
+GELU takes the erf of the extension module that defines the ufunc: from
+sys.modules if scipy.special has been imported, else loaded alone, without
+the scipy.special package (about 0.2 s and 25 MB more), and sys.modules left
+as it was. On a scipy without that module it imports scipy.special's erf.
 """
 
 from __future__ import annotations
@@ -142,38 +142,34 @@ def _sample_sum_product(a, b) -> np.ndarray:
 
 
 # the extension module of scipy.special that defines the erf ufunc in recent
-# scipy releases (1.17 among them); scipy.special imports it under this name,
-# so it reuses one already loaded
+# scipy releases (1.17 among them); an imported scipy.special holds it in
+# sys.modules under this name
 _ERF_MODULE = "scipy.special._special_ufuncs"
 _ERF_LOCK = threading.Lock()
 _erf = None
 
 
 def _load_erf():
-    """scipy's erf ufunc, loaded at the first call and kept."""
+    """scipy's erf ufunc, loaded at the first call and kept: the erf of
+    _ERF_MODULE, taken from sys.modules or else loaded alone; on a scipy
+    whose _ERF_MODULE is missing or lacks erf, erf from scipy.special."""
     global _erf
     with _ERF_LOCK:
         if _erf is None:
-            _erf = _find_erf()
+            module = sys.modules.get(_ERF_MODULE) or _load_special_extension(_ERF_MODULE)
+            if hasattr(module, "erf"):
+                _erf = module.erf
+            else:
+                from scipy.special import erf
+                _erf = erf
         return _erf
-
-
-def _find_erf():
-    """erf of _ERF_MODULE unless scipy.special is imported, loading that
-    module alone if it is not loaded yet; else, or on a scipy whose
-    _ERF_MODULE is missing or lacks erf, erf imported from scipy.special."""
-    if "scipy.special" not in sys.modules:
-        module = sys.modules.get(_ERF_MODULE) or _load_special_extension(_ERF_MODULE)
-        if hasattr(module, "erf"):
-            return module.erf
-    from scipy.special import erf
-    return erf
 
 
 def _load_special_extension(name: str):
     """The extension module name of scipy.special, loaded without running
-    scipy's or scipy.special's __init__ and left in sys.modules; None if scipy
-    has no such file."""
+    scipy's or scipy.special's __init__; None if scipy has no such file.
+    sys.modules is left as it was, so a later import of scipy.special
+    imports the module by the usual path and binds it."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         return None
@@ -185,7 +181,7 @@ def _load_special_extension(name: str):
         return None
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules.pop(name, None)
     return module
 
 

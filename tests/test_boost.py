@@ -46,6 +46,21 @@ def test_size_factor_rejects_non_positive_and_oversize():
         size_factor(101, 5, 100, 100)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"y": 2}, "class indicator must be 0 or 1, got 2"),
+    ({"p": 1.5}, r"probability must lie in \[0, 1\], got 1.5"),
+    ({"h": 2048}, "positive box 2048x8 must fit inside image 1024x1024"),
+])
+def test_box_sample_rejects_fields_outside_their_domain(fields, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sample(**fields)
+
+
+def test_positive_weight_rejects_size_factors_outside_0_1():
+    with pytest.raises(DomainError, match=r"^size factors must lie in \[0, 1\], got 1.5, 0.5$"):
+        positive_weight(1.5, 0.5, BoostConfig())
+
+
 @given(st.floats(1e-6, 1e6), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
 @settings(max_examples=60)
 def test_size_factor_scale_invariant(lam, fh, fw):

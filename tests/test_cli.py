@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -156,10 +157,10 @@ def test_memory_error_without_text_exits_1_with_one_line(capsys, monkeypatch):
 # imported nothing
 _MAIN_THEN_SCIPY = """\
 import sys
+from sodkit import numeric
 from sodkit.cli import main
 code = main(sys.argv[1:])
-print("scipy.special" in sys.modules, "scipy.special._special_ufuncs" in sys.modules,
-      file=sys.stderr)
+print("scipy.special" in sys.modules, numeric._erf is not None, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -582,6 +583,18 @@ def test_cctm_check_numerical_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "cctm-check", "--seed", "1")
     assert code == 2
     assert out.strip().endswith("fail")
+
+
+# the CLI cannot set the step; a step this large makes every perturbed
+# objective non-finite, and the check reports that alone, without warnings
+def test_cctm_check_non_finite_objective_exits_2_with_one_line(capsys, monkeypatch):
+    from sodkit import fusion
+
+    monkeypatch.setattr(fusion.gradient_check, "__defaults__", (1e200,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "cctm-check", "--seed", "0", "--shape", "1,3,5")
+    assert (code, out, err) == (2, "", "sodkit: objective is non-finite near coordinate 0\n")
 
 
 _RESULTS = [

@@ -467,6 +467,28 @@ def test_forward_rejects_channel_mismatch():
         cctm_forward(e, e, p)
 
 
+def test_forward_rejects_maps_without_a_batch_axis():
+    p = CCTMParams.random(3, make_rng(59))
+    e = make_rng(60).standard_normal((3, 5))
+    with pytest.raises(DimensionError,
+                       match=r"^expected \[batch, channels, tokens\], got shape \(3, 5\)$"):
+        cctm_forward(e, e, p)
+
+
+# a short vector is refused before a field's reshape fails on its tail
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_with_vector_rejects_a_vector_of_another_length(extra):
+    p = CCTMParams.random(3, make_rng(61))
+    n = p.to_vector().size
+    with pytest.raises(DimensionError, match=f"^vector length {n + extra}, expected {n}$"):
+        p.with_vector(np.zeros(n + extra))
+
+
+def test_gradient_check_rejects_a_non_positive_step():
+    with pytest.raises(ValueError, match="^step size must be positive, got 0.0$"):
+        gradient_check(0, (1, 3, 5), h=0.0)
+
+
 def test_cross_gate_rejects_channel_and_shape_mismatch():
     p = CCTMParams.random(3, make_rng(54))
     e = make_rng(55).standard_normal((1, 4, 5))
@@ -484,6 +506,12 @@ def test_grn_rejects_affine_not_one_per_channel(gamma_shape, beta_shape):
     x = make_rng(57).standard_normal((2, 3, 4))
     with pytest.raises(DimensionError, match=r"must be \(3,\)"):
         grn(x, np.ones(gamma_shape), np.zeros(beta_shape))
+
+
+def test_grn_rejects_a_non_positive_eps():
+    x = make_rng(58).standard_normal((2, 3, 4))
+    with pytest.raises(DimensionError, match="^eps must be positive, got 0.0$"):
+        grn(x, np.ones(3), np.zeros(3), eps=0.0)
 
 
 def test_grads_fields_are_array_fields():

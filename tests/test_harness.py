@@ -64,6 +64,11 @@ def test_synth_single_sample_in_range():
     assert 0 <= data.bucket[0] < len(BUCKET_NAMES)
 
 
+def test_synth_rejects_an_empty_dataset():
+    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+        synth_dataset(0, 0)
+
+
 def test_synth_golden_bucket_counts():
     data = synth_dataset(42, 100_000)
     counts = {name: 0 for name in BUCKET_NAMES}

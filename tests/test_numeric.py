@@ -178,9 +178,10 @@ import math, sys
 import numpy as np
 from sodkit import gelu, numeric
 gelu(np.ones(3))
-assert {_SCIPY_MODULES} == [numeric._ERF_MODULE], {_SCIPY_MODULES}
+assert {_SCIPY_MODULES} == [], {_SCIPY_MODULES}
+assert numeric._erf is not None
 import scipy.special
-assert scipy.special.erf is numeric._erf is sys.modules[numeric._ERF_MODULE].erf
+assert scipy.special._special_ufuncs.erf is numeric._erf is scipy.special.erf
 # a ufunc of another extension module, which the load left alone
 assert scipy.special.expn(0, 1.0) == 1.0 / math.e
 """ + _GELU_BITS)

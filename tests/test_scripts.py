@@ -29,3 +29,15 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_cold_start_reports_the_erf_load_of_cctm_check_alone():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cold_start.py"), "--runs", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loads = {row.split(",")[0]: row.split(",")[-1] for row in proc.stdout.splitlines()[1:]}
+    assert loads == {"clap-plan": "none", "cctm-check": "erf", "boost-table": "none",
+                     "boost-train": "none", "score-stats": "none"}

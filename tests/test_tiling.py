@@ -284,6 +284,11 @@ def test_clap_apply_linear_in_input():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_clap_apply_rejects_an_input_without_a_channel_axis():
+    with pytest.raises(DimensionError, match=r"^expected a \[C, H, W\] input, got shape \(64, 64\)$"):
+        clap_apply(np.zeros((64, 64)), lambda p: p, 32, 32)
+
+
 def test_clap_apply_rejects_shape_changing_op():
     with pytest.raises(DimensionError):
         clap_apply(np.zeros((1, 64, 64)), lambda p: p[:, :1, :1], 32, 32)
