@@ -8,6 +8,7 @@ Longer runs (--epochs 2000+) let the weaker boost positives climb past the
 
 import argparse
 
+from sodkit.errors import SodkitError
 from sodkit.harness import BUCKET_NAMES, RunConfig, synth_dataset, train_toy
 
 
@@ -19,23 +20,25 @@ def main():
     ap.add_argument("--lr", type=float, default=0.5)
     ap.add_argument("--betas", default="0.05,0.1,0.25,1.0")
     args = ap.parse_args()
+    try:
+        runs = [("focal", 1.0)] + [("boost", float(b)) for b in args.betas.split(",")]
+        configs = [RunConfig(loss=loss, beta=beta, epochs=args.epochs, lr=args.lr,
+                             seed=args.seed, n=args.n) for loss, beta in runs]
+        for cfg in configs:
+            cfg.validate()
+    except (ValueError, SodkitError) as exc:
+        ap.error(str(exc))
 
     data = synth_dataset(args.seed, args.n)
-    runs = [("focal", None)] + [("boost", float(b)) for b in args.betas.split(",")]
-
     print(f"dataset: seed={args.seed} n={args.n}; training: epochs={args.epochs} lr={args.lr}")
     header = f"{'run':<14}" + "".join(f"{name:>12}" for name in BUCKET_NAMES)
-    for loss, beta in runs:
-        cfg = RunConfig(loss=loss, beta=beta if beta is not None else 1.0,
-                        epochs=args.epochs, lr=args.lr, seed=args.seed, n=args.n)
+    print("\nrecall @ 0.5")
+    print(header)
+    weight_rows = []
+    for cfg in configs:
         m = train_toy(data, cfg)
-        label = loss if beta is None else f"{loss} b={beta:g}"
-        if loss == "focal":
-            print("\nrecall @ 0.5")
-            print(header)
+        label = cfg.loss if cfg.loss == "focal" else f"{cfg.loss} b={cfg.beta:g}"
         print(f"{label:<14}" + "".join(f"{m.bucket_recall[n]:>12.3f}" for n in BUCKET_NAMES))
-        if loss == "focal":
-            weight_rows = []
         weight_rows.append((label, m.bucket_mean_weight))
     print("\nmean positive-term weight")
     print(header)

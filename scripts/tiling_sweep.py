@@ -17,6 +17,8 @@ def main():
     ap.add_argument("--max-width", type=int, default=1400)
     ap.add_argument("--step", type=int, default=16)
     args = ap.parse_args()
+    if args.patch < 1 or args.step < 1:
+        ap.error("--patch and --step must be >= 1")
 
     print("width,n,overlap,stride,last_overlap")
     for width in range(args.step, args.max_width + 1, args.step):

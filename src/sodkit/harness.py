@@ -306,6 +306,8 @@ def ingest_coco_results(path: str) -> Detections:
             raw = json.load(fh)
         except RecursionError:
             raise ParseError("JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise ParseError("top-level value must be a JSON array")
     return _columns(raw)

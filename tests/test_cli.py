@@ -534,6 +534,11 @@ def test_boost_train_rejects_out_of_domain_parameters(capsys, flags, needle):
     assert_rejected(*run(capsys, "boost-train", "--n", "200", "--epochs", "3", *flags), needle)
 
 
+def test_score_stats_rejects_a_file_that_is_not_json(capsys):
+    assert_rejected(*run(capsys, "score-stats", "--in", "/dev/null"),
+                    "not valid JSON: Expecting value")
+
+
 def test_score_stats_missing_file_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "score-stats", "--in", str(tmp_path / "nope.json"))
     assert code == 1

@@ -26,6 +26,7 @@ from sodkit.fusion import (
 from sodkit.numeric import _gelu_and_cdf, _gelu_grad_from_cdf, gelu, gelu_grad, sigmoid
 
 from test_numeric import finite_diff_grad, fresh_python
+from test_scripts import digest_rows
 
 
 def zero_params(c, ln_eps=1e-12):
@@ -1059,3 +1060,11 @@ def test_freed_buffers_held_never_exceed_the_bound():
         assert held() <= numeric._POOL_MAX_BYTES
         del result
         assert held() <= numeric._POOL_MAX_BYTES
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the [2, 128, 500] steps change "
+                   "their last bits between one and two OpenBLAS threads")
+def test_cctm_bits_do_not_depend_on_the_blas_thread_count():
+    one, two = digest_rows(1)["cctm"], digest_rows(2)["cctm"]
+    assert one.startswith("42,")
+    assert one == two

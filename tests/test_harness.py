@@ -30,6 +30,8 @@ from sodkit.harness import (
 )
 from sodkit.tiling import clap_apply
 
+from test_scripts import digest_rows
+
 # frozen from a reference run of the generator (seed 42, n = 100000)
 GOLDEN_BUCKET_COUNTS = {
     "very_tiny": 12568, "tiny": 15491, "small": 21821, "medium": 32020, "large": 18100,
@@ -346,34 +348,12 @@ def test_sample_sum_product_blocks_start_at_the_first_sample(offset):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-_THREAD_GRID = """
-from sodkit.harness import RunConfig, synth_dataset, train_toy
-for seed, loss, beta, epochs in CASES:
-    m = train_toy(synth_dataset(seed, 2000),
-                  RunConfig(loss=loss, beta=beta, epochs=epochs, seed=seed, n=2000))
-    print(repr((m.final_loss, m.bucket_counts, m.bucket_recall, m.bucket_mean_weight)))
-"""
-
-
 def test_train_toy_bits_do_not_depend_on_the_blas_thread_count():
-    import os
-    import pathlib
-    import subprocess
-
     # at n = 2000 OpenBLAS splits a plain product over the samples between
-    # two threads, and these cases then differed in their last bits; at the
-    # sizes of the quick digest grid they did not
-    cases = [(1, "boost", 1.0, 5), (0, "boost", 0.05, 20), (1, "focal", 1.0, 20)]
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    outs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", f"CASES = {cases!r}\n" + _THREAD_GRID],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == len(cases)
-    assert outs[0] == outs[1]
+    # two threads, and the digest's train row then differed in its last bits
+    one, two = digest_rows(1)["train"], digest_rows(2)["train"]
+    assert one.startswith("180,")
+    assert one == two
 
 
 def test_train_toy_rejects_features_of_the_wrong_length():
@@ -661,6 +641,14 @@ def test_ingest_rejects_json_nested_too_deeply(tmp_path):
     path = tmp_path / "r.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ParseError, match="nested too deeply"):
+        ingest_coco_results(str(path))
+
+
+@pytest.mark.parametrize("text", ["", '[{"image_id": 1,'])
+def test_ingest_rejects_text_that_is_not_json(tmp_path, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^not valid JSON: "):
         ingest_coco_results(str(path))
 
 

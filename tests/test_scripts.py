@@ -1,5 +1,7 @@
-"""Smoke tests: each experiment script runs to completion on a small input."""
+"""Experiment scripts: each runs to completion on a small input and rejects a
+bad flag with a usage error; `digest_rows` runs the bit-identity digest."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -10,33 +12,56 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, *args, **env):
+    """Run scripts/<script> against this checkout's src/ in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}, timeout=120,
+    )
+
+
+@functools.cache
+def digest_rows(threads):
+    """`scripts/digest.py`'s rows at an OpenBLAS thread count, as {kernel: "cases,sha256"};
+    run once per count per session."""
+    proc = run_script("digest.py", OPENBLAS_NUM_THREADS=str(threads))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "kernel,cases,sha256"
+    return dict(row.split(",", 1) for row in rows)
+
+
 @pytest.mark.parametrize("script,args,header", [
     ("tiling_sweep.py", ["--max-width", "64"], "width,n,overlap,stride,last_overlap"),
     ("compare_losses.py", ["--n", "200", "--epochs", "2"],
      "dataset: seed=42 n=200; training: epochs=2 lr=0.5"),
     ("fault_count.py", ["--shape", "1,3,5", "--ops", "3"],
      "call,shape,ops,median_minor_faults,tracemalloc_peak_mib,median_ms"),
-    ("train_digest.py", ["--quick"], "cases,sha256"),
     ("ingest_split.py", ["--entries", "50", "--calls", "3"], "stage,entries,calls,median_ms"),
     ("cold_start.py", ["--runs", "1"], "command,runs,median_ms,scipy_load"),
-    ("cctm_digest.py", ["--quick"], "cases,sha256"),
 ])
 def test_script_runs(script, args, header):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
 
 
+@pytest.mark.parametrize("script,args", [
+    ("tiling_sweep.py", ["--step", "0"]),
+    ("tiling_sweep.py", ["--patch", "0"]),
+    ("compare_losses.py", ["--betas", ","]),
+    ("compare_losses.py", ["--n", "0"]),
+])
+def test_script_rejects_a_bad_flag_with_a_usage_error(script, args):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: ")
+
+
 def test_cold_start_reports_the_erf_load_of_cctm_check_alone():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "cold_start.py"), "--runs", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script("cold_start.py", "--runs", "1")
     assert proc.returncode == 0, proc.stderr
     loads = {row.split(",")[0]: row.split(",")[-1] for row in proc.stdout.splitlines()[1:]}
     assert loads == {"clap-plan": "none", "cctm-check": "erf", "boost-table": "none",
