@@ -1,16 +1,11 @@
-"""Time each CLI command as a whole fresh process, and say how much of scipy
-it loaded.
+"""Time each CLI command as a whole fresh process.
 
 For each of the five commands, starts --runs fresh interpreters one after
-another, never two at once, each running `sodkit.cli.main` once on a small
-fixed input, and prints the median wall time from process start to exit.
-That time includes the interpreter's start-up and every import the command
-makes. `scipy_load` says what of scipy the command had loaded when it
-returned: `scipy.special` (the whole package, in `sys.modules`), else `erf`
-(the GELU's erf, loaded from its extension module alone, which leaves
-`sys.modules` as it was), else `none`. The interpreters see the
-environment this script runs in, so the script measures the checkout that
-PYTHONPATH names:
+another, never two at once, each running `python -m sodkit.cli` once on a
+small fixed input, and prints the median wall time from process start to
+exit. That time includes the interpreter's start-up and every import the
+command makes. The interpreters see the environment this script runs in,
+so the script measures the checkout that PYTHONPATH names:
 
     PYTHONPATH=src python scripts/cold_start.py --runs 5
 """
@@ -23,22 +18,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-# runs one command and reports on stderr, after anything the command wrote
-# there, what of scipy it loaded
-_CHILD = """\
-import sys
-from sodkit import numeric
-from sodkit.cli import main
-code = main(sys.argv[1:])
-if "scipy.special" in sys.modules:
-    print("scipy.special", file=sys.stderr)
-elif numeric._erf is not None:
-    print("erf", file=sys.stderr)
-else:
-    print("none", file=sys.stderr)
-sys.exit(code)
-"""
 
 COMMANDS = {
     "clap-plan": ["--width", "800", "--height", "600", "--patch-w", "224", "--patch-h", "224"],
@@ -55,15 +34,14 @@ def results() -> list[dict]:
              "score": 0.05 * k} for k in range(1, 21)]
 
 
-def run_once(argv: list[str]) -> tuple[float, str]:
+def run_once(argv: list[str]) -> float:
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+    proc = subprocess.run([sys.executable, "-m", "sodkit.cli", *argv],
                           capture_output=True, text=True)
     elapsed = time.perf_counter() - t0
-    *errors, load = proc.stderr.splitlines() or [""]
-    if proc.returncode != 0 or errors:
+    if proc.returncode != 0 or proc.stderr:
         raise SystemExit(f"sodkit {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return elapsed, load
+    return elapsed
 
 
 def main():
@@ -76,13 +54,11 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "results.json"
         path.write_text(json.dumps(results()))
-        print("command,runs,median_ms,scipy_load")
+        print("command,runs,median_ms")
         for name, flags in COMMANDS.items():
             argv = [name, *(f.format(results=path) for f in flags)]
-            runs = [run_once(argv) for _ in range(args.runs)]
-            ms = statistics.median(t for t, _ in runs) * 1e3
-            loads = "|".join(sorted({load for _, load in runs}))
-            print(f"{name},{args.runs},{ms:.1f},{loads}")
+            ms = statistics.median(run_once(argv) for _ in range(args.runs)) * 1e3
+            print(f"{name},{args.runs},{ms:.1f}")
 
 
 if __name__ == "__main__":

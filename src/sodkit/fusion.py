@@ -31,6 +31,8 @@ DEFAULT_LN_EPS = 1e-5
 # cap on the float64s in the perturbed [E, B, params] rows that one stacked
 # forward of gradient_check evaluates; its stacked E holds under half of them
 _FD_CHUNK_FLOATS = 1 << 16
+# gradient_check's central-difference step h
+_FD_STEP = 1e-5
 # bound on the coordinates n = 2BCL + 5C^2 + 9C that gradient_check perturbs.
 # Each perturbed problem holds n floats, and the check's time grew as n^2, at
 # 0.007-0.14 us per unit over nine shapes at one OpenBLAS thread on a 2-vCPU
@@ -471,18 +473,16 @@ def cctm_backward(acts: CCTMActivations, p: CCTMParams, d_out):
     return d_e, d_b, grads
 
 
-def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> float:
+def gradient_check(seed: int, shape: tuple[int, int, int]) -> float:
     """Max relative error between the analytic backward and central finite
     differences over E, B, and all parameters, for one random problem.
 
-    The 2 n perturbed problems x0 +- h e_i share stacked forwards, each
-    holding at most _FD_CHUNK_FLOATS perturbed coordinates, and every
-    objective is summed as a single forward's would be, so the result is the
-    one-forward-per-coordinate result bit for bit."""
+    The 2 n perturbed problems x0 +- h e_i, h = _FD_STEP, share stacked
+    forwards, each holding at most _FD_CHUNK_FLOATS perturbed coordinates,
+    and every objective is summed as a single forward's would be, so the
+    result is the one-forward-per-coordinate result bit for bit."""
     if min(shape) < 1:
         raise DimensionError(f"every extent of B,C,L must be >= 1, got {shape}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
     # numpy's shape check, which allocates nothing, refuses an extent no numpy
     # integer holds before the bound below names it
     bsz, c, length = np.broadcast_shapes(shape)
@@ -504,6 +504,7 @@ def gradient_check(seed: int, shape: tuple[int, int, int], h: float = 1e-5) -> f
     x0 = np.concatenate([E.ravel(), B.ravel(), p.to_vector()])
     n = x0.size
     numeric = np.empty(n)
+    h = _FD_STEP
     step = max(1, _FD_CHUNK_FLOATS // (2 * n))
     for i0 in range(0, n, step):
         k = min(step, n - i0)

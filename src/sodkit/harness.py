@@ -301,13 +301,16 @@ def ingest_coco_results(path: str) -> Detections:
     is one whole-column test. Values are not coerced: a bbox value or score
     that is a string or a boolean is malformed, and so is an id that is not a
     JSON integer or lies outside the int64 range."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except RecursionError:
             raise ParseError("JSON nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # RFC 8259: JSON exchanged between systems is UTF-8
+            raise ParseError(f"not UTF-8 text: {exc}") from None
     if not isinstance(raw, list):
         raise ParseError("top-level value must be a JSON array")
     return _columns(raw)

@@ -151,7 +151,7 @@ def test_criterion_4_gradient_suite():
     failures = []
     worst = 0.0
     for seed in range(20):
-        err = gradient_check(seed, (1, 3, 5), h=1e-5)
+        err = gradient_check(seed, (1, 3, 5))
         worst = max(worst, err)
         if err >= 1e-4:
             failures.append(f"seed {seed}: max relative error {err:.3e} >= 1e-4")

@@ -25,7 +25,8 @@ from sodkit.fusion import (
 )
 from sodkit.numeric import _gelu_and_cdf, _gelu_grad_from_cdf, gelu, gelu_grad, sigmoid
 
-from test_numeric import finite_diff_grad, fresh_python
+from interpreter import fresh_python
+from test_numeric import finite_diff_grad
 from test_scripts import digest_rows
 
 
@@ -367,7 +368,7 @@ def test_gradient_check_other_shapes():
     assert gradient_check(102, (1, 4, 2)) < 1e-4
 
 
-def _per_coordinate_gradient_check(seed, shape, h=1e-5):
+def _per_coordinate_gradient_check(seed, shape):
     """gradient_check with one cctm_forward per perturbed coordinate."""
     rng = make_rng(seed)
     p = CCTMParams.random(shape[1], rng)
@@ -381,7 +382,7 @@ def _per_coordinate_gradient_check(seed, shape, h=1e-5):
         return float((w * cctm_forward(ne, nb, p.with_vector(vec[2 * E.size :]))[0]).sum())
 
     x0 = np.concatenate([E.ravel(), B.ravel(), p.to_vector()])
-    numeric = finite_diff_grad(objective, x0, h)
+    numeric = finite_diff_grad(objective, x0, fusion._FD_STEP)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(np.abs(analytic - numeric) / scale))
 
@@ -413,9 +414,10 @@ def test_stacked_forward_equals_separate_forwards():
         assert np.array_equal(out[i], want)
 
 
-def test_gradient_check_non_finite_objective_names_coordinate():
+def test_gradient_check_non_finite_objective_names_coordinate(monkeypatch):
+    monkeypatch.setattr(fusion, "_FD_STEP", 1e200)
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="coordinate 0$"):
-        gradient_check(0, (1, 3, 5), h=1e200)
+        gradient_check(0, (1, 3, 5))
 
 
 # n = 2BCL + 5C^2 + 9C coordinates: 380 at (3, 5, 7), 410 at (3, 5, 8), 16386
@@ -483,11 +485,6 @@ def test_with_vector_rejects_a_vector_of_another_length(extra):
     n = p.to_vector().size
     with pytest.raises(DimensionError, match=f"^vector length {n + extra}, expected {n}$"):
         p.with_vector(np.zeros(n + extra))
-
-
-def test_gradient_check_rejects_a_non_positive_step():
-    with pytest.raises(ValueError, match="^step size must be positive, got 0.0$"):
-        gradient_check(0, (1, 3, 5), h=0.0)
 
 
 def test_cross_gate_rejects_channel_and_shape_mismatch():
@@ -1042,7 +1039,7 @@ print("ok")
 
 def test_concurrent_first_forwards_equal_a_serial_forward():
     # both threads reach the first GELU, and with it the erf load, at once
-    proc = fresh_python(_CONCURRENT_FIRST_FORWARD)
+    proc = fresh_python("-c", _CONCURRENT_FIRST_FORWARD)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 

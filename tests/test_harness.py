@@ -652,6 +652,22 @@ def test_ingest_rejects_text_that_is_not_json(tmp_path, text):
         ingest_coco_results(str(path))
 
 
+# two bytes that start UTF-16 text, UTF-16 with a byte-order mark, and a
+# Latin-1 'é'
+@pytest.mark.parametrize("data,position", [
+    (b"\xff\xfe", 0),
+    ('[{"image_id": 1}]'.encode("utf-16"), 0),
+    ('[{"image_id": 1, "name": "café"}]'.encode("latin-1"), 29),
+])
+def test_ingest_rejects_text_that_is_not_utf8(tmp_path, data, position):
+    path = tmp_path / "r.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^not UTF-8 text: 'utf-8' codec can't decode byte "
+                                         f"0x{data[position]:02x} in position {position}") as exc:
+        ingest_coco_results(str(path))
+    assert exc.value.index is None
+
+
 def test_ingest_keeps_int64_extremes(tmp_path):
     entry = {"image_id": 2**63 - 1, "category_id": -(2**63), "bbox": [0, 0, 1, 1], "score": 1}
     path = tmp_path / "r.json"

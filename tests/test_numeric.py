@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,19 +7,13 @@ from hypothesis import strategies as st
 
 from scipy.special import erf
 
-import sodkit
 from sodkit import gelu, make_rng, sigmoid
 from sodkit.numeric import (
     _empty, _empty_pool, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad, tensor,
 )
 from sodkit.errors import EvaluationError
 
-
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this sodkit."""
-    env = {**os.environ, "PYTHONPATH": str(Path(sodkit.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+from interpreter import fresh_python
 
 
 def test_gelu_zero():
@@ -173,7 +163,7 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_gelu_loads_only_the_erf_extension_and_scipy_special_reuses_it():
-    proc = fresh_python(f"""
+    proc = fresh_python("-c", f"""
 import math, sys
 import numpy as np
 from sodkit import gelu, numeric
@@ -189,7 +179,7 @@ assert scipy.special.expn(0, 1.0) == 1.0 / math.e
 
 
 def test_gelu_takes_the_erf_of_an_imported_scipy_special():
-    proc = fresh_python(f"""
+    proc = fresh_python("-c", f"""
 import sys
 import numpy as np
 import scipy.special
@@ -212,7 +202,7 @@ assert {_SCIPY_MODULES} == before
 # a module name that scipy lacks, and a scipy.special extension without erf
 @pytest.mark.parametrize("module", ["scipy.special._no_such_module", "scipy.special._comb"])
 def test_gelu_without_the_erf_extension_imports_scipy_special(module):
-    proc = fresh_python(f"""
+    proc = fresh_python("-c", f"""
 import sys
 import numpy as np
 from sodkit import gelu, numeric

@@ -2,29 +2,20 @@
 bad flag with a usage error; `digest_rows` runs the bit-identity digest."""
 
 import functools
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from interpreter import fresh_python
 
-
-def run_script(script, *args, **env):
-    """Run scripts/<script> against this checkout's src/ in a fresh interpreter."""
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}, timeout=120,
-    )
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @functools.cache
 def digest_rows(threads):
     """`scripts/digest.py`'s rows at an OpenBLAS thread count, as {kernel: "cases,sha256"};
     run once per count per session."""
-    proc = run_script("digest.py", OPENBLAS_NUM_THREADS=str(threads))
+    proc = fresh_python(str(SCRIPTS / "digest.py"), OPENBLAS_NUM_THREADS=str(threads))
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header == "kernel,cases,sha256"
@@ -38,10 +29,10 @@ def digest_rows(threads):
     ("fault_count.py", ["--shape", "1,3,5", "--ops", "3"],
      "call,shape,ops,median_minor_faults,tracemalloc_peak_mib,median_ms"),
     ("ingest_split.py", ["--entries", "50", "--calls", "3"], "stage,entries,calls,median_ms"),
-    ("cold_start.py", ["--runs", "1"], "command,runs,median_ms,scipy_load"),
+    ("cold_start.py", ["--runs", "1"], "command,runs,median_ms"),
 ])
 def test_script_runs(script, args, header):
-    proc = run_script(script, *args)
+    proc = fresh_python(str(SCRIPTS / script), *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
 
@@ -53,16 +44,8 @@ def test_script_runs(script, args, header):
     ("compare_losses.py", ["--n", "0"]),
 ])
 def test_script_rejects_a_bad_flag_with_a_usage_error(script, args):
-    proc = run_script(script, *args)
+    proc = fresh_python(str(SCRIPTS / script), *args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: ")
-
-
-def test_cold_start_reports_the_erf_load_of_cctm_check_alone():
-    proc = run_script("cold_start.py", "--runs", "1")
-    assert proc.returncode == 0, proc.stderr
-    loads = {row.split(",")[0]: row.split(",")[-1] for row in proc.stdout.splitlines()[1:]}
-    assert loads == {"clap-plan": "none", "cctm-check": "erf", "boost-table": "none",
-                     "boost-train": "none", "score-stats": "none"}
