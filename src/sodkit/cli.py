@@ -86,21 +86,25 @@ def _ints3(s):
 def _load_config(path: str, opts: list[Opt]) -> dict:
     known = {o.dest: o for o in opts}
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise CliError(f"{path}:{lineno}: unknown option {key!r}")
-            try:
-                values[key] = known[key].parse(value.strip())
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise CliError(f"{path}:{lineno}: unknown option {key!r}")
+        try:
+            values[key] = known[key].parse(value.strip())
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -33,9 +33,6 @@ BUCKET_EDGES = (2.0, 8.0, 16.0, 32.0, 96.0)  # on sqrt(h * w); last bucket open
 
 DEFAULT_STAT_EDGES = (0.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
-# fixed embedding of (h, w) / image side into feature space, shared by all seeds
-_EMBED = make_rng(0x51ED).uniform(-2.0, 2.0, size=(FEATURE_DIM, 2))
-
 
 @dataclass(frozen=True, eq=False)
 class SynthData:
@@ -111,7 +108,11 @@ def synth_dataset(seed: int, n: int) -> SynthData:
     side = np.sqrt(sides[:, 0] * sides[:, 1])
     sf = side / IMAGE_SIDE
     sigma = 0.25 * sf**-0.1
-    base = (sides / IMAGE_SIDE) @ _EMBED.T
+    # fixed embedding of (h, w) / image side into feature space, shared by all
+    # seeds; drawn here rather than at import, so importing this module loads
+    # no numpy.random
+    embed = make_rng(0x51ED).uniform(-2.0, 2.0, size=(FEATURE_DIM, 2))
+    base = (sides / IMAGE_SIDE) @ embed.T
     feats = base + rng.standard_normal((n, FEATURE_DIM)) * sigma[:, None]
     neg = np.flatnonzero(y == 0)
     if neg.size:

@@ -42,6 +42,7 @@ def inputs(tmp_path_factory):
         "inf": _coco([0.0, 0.0, math.inf, 4.0]).encode(),
         "utf16": _coco([0, 0, 20, 20]).encode("utf-16"),  # with a byte-order mark
         "unknown_key": b"wdith = 800\n",
+        "not_utf8": b"width = \xff\n",
     }
     for name, data in files.items():
         (folder / name).write_bytes(data)
@@ -52,7 +53,8 @@ _TABLE = ["boost-table", "--sizes", "2x2,8x8"]
 _TRAIN = ["boost-train", "--n", "200", "--epochs", "3"]
 
 # (id, argv, needle): each argv exits 1 with nothing on stdout and one
-# `sodkit: ` line on stderr that holds the needle
+# `sodkit: ` line on stderr that holds the needle; argv and needle name the
+# inputs as {name}
 _REJECTED = [
     ("clap-plan-degenerate",
      ["clap-plan", "--width", "6", "--height", "1", "--patch-w", "4", "--patch-h", "1"],
@@ -103,6 +105,8 @@ _REJECTED = [
     ("score-stats-not-utf8", ["score-stats", "--in", "{utf16}"], "not UTF-8 text"),
     ("score-stats-missing-file", ["score-stats", "--in", "{missing}"], "No such file"),
     ("config-unknown-key", ["clap-plan", "--config", "{unknown_key}"], "wdith"),
+    ("config-not-utf8", ["clap-plan", "--config", "{not_utf8}"],
+     "{not_utf8}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 8"),
     ("unknown-subcommand", ["frobnicate"], "invalid choice"),
 ]
 
@@ -110,7 +114,7 @@ _REJECTED = [
 @pytest.mark.parametrize("argv,needle", [row[1:] for row in _REJECTED],
                          ids=[row[0] for row in _REJECTED])
 def test_rejection_exits_1_with_one_line(capsys, inputs, argv, needle):
-    assert_rejected(*run(capsys, *(a.format(**inputs) for a in argv)), needle)
+    assert_rejected(*run(capsys, *(a.format(**inputs) for a in argv)), needle.format(**inputs))
 
 
 def test_clap_plan_row(capsys):
@@ -197,21 +201,34 @@ def test_memory_error_without_text_exits_1_with_one_line(capsys, monkeypatch):
 
 # scipy supplies only the GELU's erf, so only a command that evaluates a GELU
 # loads scipy code, and it loads the erf extension module alone, never the
-# scipy.special package; each case runs in a fresh interpreter, which has
+# scipy.special package; likewise only a command that draws random numbers
+# loads numpy.random; each case runs in a fresh interpreter, which has
 # imported nothing
 _MAIN_THEN_SCIPY = """\
 import sys
 from sodkit import numeric
 from sodkit.cli import main
 code = main(sys.argv[1:])
-print("scipy.special" in sys.modules, numeric._erf is not None, file=sys.stderr)
+print("scipy.special" in sys.modules, numeric._erf is not None,
+      "numpy.random" in sys.modules, file=sys.stderr)
 sys.exit(code)
+"""
+
+# the modules perfbench imports, and what of scipy and numpy.random they load
+_IMPORT_THEN_LIST = """\
+import sys
+from sodkit import tiling, fusion, numeric, boost, harness, cli
+print(sorted(m for m in sys.modules if m.startswith(("scipy", "numpy.random"))))
 """
 
 
 def test_import_sodkit_leaves_scipy_unloaded():
-    proc = fresh_python("-c", "import sys, sodkit; print('scipy' in sys.modules)")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    proc = fresh_python("-c", _IMPORT_THEN_LIST)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# the commands that draw random numbers: a synthetic dataset or CCTM parameters
+_DRAWS_RANDOM = {"boost-train", "cctm-check"}
 
 
 @pytest.mark.parametrize("argv,loads_erf", [
@@ -227,7 +244,8 @@ def test_only_a_gelu_loads_scipy(tmp_path, argv, loads_erf):
     results.write_text(json.dumps([{"image_id": 1, "category_id": 1,
                                     "bbox": [0, 0, 20, 20], "score": 0.9}]))
     proc = fresh_python("-c", _MAIN_THEN_SCIPY, *(a.format(results=results) for a in argv))
-    assert (proc.returncode, proc.stderr) == (0, f"False {loads_erf}\n")
+    loads_random = argv[0] in _DRAWS_RANDOM
+    assert (proc.returncode, proc.stderr) == (0, f"False {loads_erf} {loads_random}\n")
     if argv[0] == "cctm-check":
         assert proc.stdout.strip().endswith(",pass")
 
