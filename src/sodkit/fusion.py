@@ -481,6 +481,8 @@ def gradient_check(seed: int, shape: tuple[int, int, int]) -> float:
     forwards, each holding at most _FD_CHUNK_FLOATS perturbed coordinates,
     and every objective is summed as a single forward's would be, so the
     result is the one-forward-per-coordinate result bit for bit."""
+    if len(shape) != 3:
+        raise DimensionError(f"expected three extents B,C,L, got {shape!r}")
     if min(shape) < 1:
         raise DimensionError(f"every extent of B,C,L must be >= 1, got {shape}")
     # numpy's shape check, which allocates nothing, refuses an extent no numpy

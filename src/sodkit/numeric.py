@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
 import threading
 
 import numpy as np
+
+from .errors import DomainError
 
 # Arrays of at least _POOL_MIN_BYTES are built in buffers that earlier arrays
 # freed, so that a repeated step reuses pages it has already touched, and a
@@ -43,8 +46,11 @@ def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64). Same seed, same stream, any platform.
 
     The generator is single-owner mutable state: give each concurrent user
-    its own generator instead of sharing one instance.
+    its own generator instead of sharing one instance. A negative integer
+    seed raises DomainError.
     """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -190,19 +196,86 @@ def _load_special_extension(name: str):
 # and each chain keeps the operand order of the one-line formula in its
 # docstring, so results (NaN signs included) are those of the formula.
 
-def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
-    0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array."""
-    # loaded at the first GELU, not with this module, so that what never
-    # evaluates one starts without scipy
-    erf = _load_erf()
-    cdf = _empty(x.shape)
+def _gelu_chain(erf, x, g, cdf) -> None:
     erf(np.divide(x, np.sqrt(2.0), out=cdf), out=cdf)
     np.add(1.0, cdf, out=cdf)
-    g = _empty(x.shape)
     np.multiply(0.5, x, out=g)
     np.multiply(g, cdf, out=g)
     np.multiply(0.5, cdf, out=cdf)
+
+
+# A GELU of at least _POOL_MIN_BYTES is shared: its caller and one daemon
+# helper per further CPU the process may use claim _CHUNK-element chunks one
+# at a time, so a busy helper delays the caller by one chunk at most (guided
+# self-scheduling, Polychronopoulos and Kuck, IEEE TC 1987).
+_CHUNK = 1 << 14
+_helpers = None  # their queue and threads, made at the first shared GELU
+_HELPERS_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child starts helpers of its own
+    os.register_at_fork(after_in_child=lambda: globals().update(
+        _helpers=None, _HELPERS_LOCK=threading.Lock()))
+
+
+def _help(jobs) -> None:
+    for errstate, work in iter(jobs.get, None):
+        with np.errstate(**errstate):
+            work()
+
+
+def _shared_gelu_chain(erf, *arrays) -> bool:
+    """_gelu_chain over flat x, g and cdf, shared with the helpers (False if
+    there are none). The caller waits only for chunks a helper has claimed,
+    then raises the first error that a chunk raised."""
+    global _helpers
+    with _HELPERS_LOCK:
+        if _helpers is None:
+            import queue
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            jobs = queue.SimpleQueue()
+            _helpers = jobs, [threading.Thread(target=_help, args=(jobs,), daemon=True)
+                              for _ in range(cpus - 1)]
+            for t in _helpers[1]:
+                t.start()
+    jobs, threads = _helpers
+    if not threads:
+        return False
+    chunks = -(-arrays[0].size // _CHUNK)
+    # each next() of a count is one atomic step under the GIL
+    claims, dones, finished, errors = itertools.count(), itertools.count(), threading.Lock(), []
+    finished.acquire()  # released by whoever ends the last chunk
+
+    def work():
+        while (i := next(claims)) < chunks:
+            try:
+                _gelu_chain(erf, *(a[i * _CHUNK:(i + 1) * _CHUNK] for a in arrays))
+            except BaseException as exc:
+                errors.append(exc)
+            if next(dones) == chunks - 1:
+                finished.release()
+
+    job = dict(np.geterr(), call=np.geterrcall()), work
+    for _ in threads:
+        jobs.put(job)
+    work()
+    finished.acquire()
+    # a helper may take the job from the queue later: leave it nothing to pin
+    raised, arrays, errors = errors, (), []
+    if raised:
+        raise raised[0]
+    return True
+
+
+def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
+    0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array. Every
+    step is elementwise, so a shared GELU has the bits of one pass."""
+    # loaded at the first GELU, not with this module, so that what never
+    # evaluates one starts without scipy; then read without taking the lock
+    erf = _erf or _load_erf()
+    cdf, g = _empty(x.shape), _empty(x.shape)
+    if x.size * 8 < _POOL_MIN_BYTES or not _shared_gelu_chain(
+            erf, x.reshape(-1), g.reshape(-1), cdf.reshape(-1)):
+        _gelu_chain(erf, x, g, cdf)
     return g, cdf
 
 

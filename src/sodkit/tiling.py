@@ -87,8 +87,8 @@ def _plan_axis(extent: int, patch: int) -> tuple[int, int, list[int], int]:
 def plan_grid(W: int, H: int, W_o: int, H_o: int) -> PatchGrid:
     """Plan the tiling of an H x W input into H_o x W_o patches."""
     for name, v in (("W", W), ("H", H), ("W_o", W_o), ("H_o", H_o)):
-        if int(v) != v or v < 1:
-            raise DimensionError(f"{name} must be a positive integer, got {v}")
+        if isinstance(v, (bool, np.bool_)) or int(v) != v or v < 1:
+            raise DimensionError(f"{name} must be a positive integer, got {v!r}")
     W, H, W_o, H_o = int(W), int(H), int(W_o), int(H_o)
     n_w, l_w, starts_x, pad_w = _plan_axis(W, W_o)
     n_h, l_h, starts_y, pad_h = _plan_axis(H, H_o)

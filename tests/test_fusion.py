@@ -420,6 +420,12 @@ def test_gradient_check_non_finite_objective_names_coordinate(monkeypatch):
         gradient_check(0, (1, 3, 5))
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (), (1, 3, 5, 1)])
+def test_gradient_check_rejects_a_shape_that_is_not_b_c_l(shape):
+    with pytest.raises(DimensionError, match=r"^expected three extents B,C,L, got \("):
+        gradient_check(0, shape)
+
+
 # n = 2BCL + 5C^2 + 9C coordinates: 380 at (3, 5, 7), 410 at (3, 5, 8), 16386
 # at (1, 1, 8186), 16872 at (1, 57, 1) and 283200 at (2, 64, 1024)
 def test_gradient_check_runs_up_to_the_coordinate_bound(monkeypatch):

@@ -71,6 +71,11 @@ def test_synth_rejects_an_empty_dataset():
         synth_dataset(0, 0)
 
 
+def test_synth_rejects_a_negative_seed_naming_it():
+    with pytest.raises(DomainError, match="^seed must be non-negative, got -1$"):
+        synth_dataset(-1, 2)
+
+
 def test_synth_golden_bucket_counts():
     data = synth_dataset(42, 100_000)
     counts = {name: 0 for name in BUCKET_NAMES}

@@ -1,4 +1,10 @@
 import math
+import multiprocessing
+import os
+import re
+import threading
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -7,11 +13,12 @@ from hypothesis import strategies as st
 
 from scipy.special import erf
 
-from sodkit import gelu, make_rng, sigmoid
+from sodkit import gelu, make_rng, numeric, sigmoid
 from sodkit.numeric import (
-    _empty, _empty_pool, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad, tensor,
+    _CHUNK, _empty, _empty_pool, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad,
+    tensor,
 )
-from sodkit.errors import EvaluationError
+from sodkit.errors import DomainError, EvaluationError
 
 from interpreter import fresh_python
 
@@ -120,6 +127,135 @@ def test_gelu_is_its_input_times_its_cdf_bit_for_bit():
     nan_signs = np.signbit(x[np.isnan(x)])
     assert nan_signs.sum() > 50 and (~nan_signs).sum() > 50
     assert np.count_nonzero(np.abs(x) < np.finfo(np.float64).tiny) > 100
+
+
+def _in_thread(f, timeout=60):
+    """f() in a new thread, joined with a timeout so that a hang fails: its
+    result, or its exception raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, f()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert out, "the call did not return"
+    returned, value = out[0]
+    if not returned:
+        raise value
+    return value
+
+
+def _gelu_and_cdf_ignoring_errors(x):
+    with np.errstate(all="ignore"):
+        return _gelu_and_cdf(x)
+
+
+def _assert_shared_gelu_matches_its_formulas(x):
+    """_gelu_and_cdf(x), run in a thread, gives the bits of the one-line GELU
+    and CDF formulas, and every helper is alive after one that is shared."""
+    g, cdf = _in_thread(lambda: _gelu_and_cdf_ignoring_errors(x))
+    with np.errstate(all="ignore"):
+        one_plus_erf = 1.0 + erf(x / np.sqrt(2.0))
+        half_x = 0.5 * x
+        assert np.array_equal(_bits(g), _bits(half_x * one_plus_erf))
+        assert np.array_equal(_bits(cdf), _bits(0.5 * one_plus_erf))
+    if x.size < 2 * _CHUNK:
+        return
+    jobs, threads = numeric._helpers
+    assert all(t.is_alive() for t in threads)
+    if hasattr(os, "sched_getaffinity"):
+        assert len(threads) == len(os.sched_getaffinity(0)) - 1
+
+
+_CHUNK_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                   5e-324, -5e-324, 1e-310, -2.2e-308]
+
+
+# one element short of the sharing threshold, at it, one past it (a last
+# chunk of one element), a last chunk of one after three whole, and 19 chunks
+@pytest.mark.parametrize("n", [32_767, 32_768, 32_769, 49_153, 300_000])
+def test_shared_gelu_matches_its_formulas_bit_for_bit(n):
+    x = make_rng(n).standard_normal(n) * 4.0
+    k, chunks = len(_CHUNK_SPECIALS), -(-n // _CHUNK)
+    middle = chunks // 2 * _CHUNK + 7
+    x[:k] = x[middle:middle + k] = _CHUNK_SPECIALS
+    x[-k:] = _CHUNK_SPECIALS[::-1]  # the last element is a NaN
+    _assert_shared_gelu_matches_its_formulas(x)
+
+
+# 0.5 * -inf * (1 + erf(-inf)) is -inf * 0, invalid, in every chunk
+_ALL_MINUS_INF = np.full(40 * _CHUNK, -math.inf)
+
+
+@pytest.mark.parametrize("errstate,action,raised", [
+    ({"all": "ignore"}, "always", None),
+    ({"invalid": "raise"}, "always", FloatingPointError),
+    ({}, "error", RuntimeWarning),
+])
+def test_shared_gelu_keeps_the_callers_error_state(errstate, action, raised):
+    def call():
+        with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            return _gelu_and_cdf(_ALL_MINUS_INF), caught
+
+    _gelu_and_cdf_ignoring_errors(_ALL_MINUS_INF)  # the helpers are running
+    if raised is None:
+        # warnings are process-wide here, so a helper's would be caught too
+        (g, cdf), caught = _in_thread(call)
+        assert [str(w.message) for w in caught] == []
+        assert np.isnan(g).all() and np.all(cdf == 0.0)
+    else:
+        with pytest.raises(raised, match="^invalid value encountered in multiply$"):
+            _in_thread(call)
+    _assert_shared_gelu_matches_its_formulas(make_rng(8).standard_normal(3 * _CHUNK))
+
+
+def _gelu_in_a_forked_child(x, want_g, want_cdf):
+    assert numeric._helpers is None
+    g, cdf = _gelu_and_cdf(x)
+    assert np.array_equal(_bits(g), _bits(want_g))
+    assert np.array_equal(_bits(cdf), _bits(want_cdf))
+    jobs, threads = numeric._helpers
+    assert all(t.is_alive() for t in threads)
+    assert len(threads) == len(os.sched_getaffinity(0)) - 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_shares_a_gelu_with_helpers_of_its_own():
+    x = make_rng(9).standard_normal(5 * _CHUNK)
+    want = _in_thread(lambda: _gelu_and_cdf(x))  # the parent's helpers are running
+    child = multiprocessing.get_context("fork").Process(
+        target=_gelu_in_a_forked_child, args=(x, *want))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_a_finished_shared_gelu_holds_no_reference_to_its_arrays():
+    _gelu_and_cdf(np.zeros(2 * _CHUNK))  # the helpers are running
+    # each helper waits on a stall job, so the next call's job stays queued
+    # after the call returns, until the helpers take it
+    jobs, threads = numeric._helpers
+    release = threading.Event()
+    for _ in threads:
+        jobs.put(({}, release.wait))
+    try:
+        owner = make_rng(10).standard_normal(3 * _CHUNK)
+        ref = weakref.ref(owner)
+        g, cdf = _in_thread(lambda: _gelu_and_cdf(owner))
+        del owner
+        assert ref() is None
+    finally:
+        release.set()
+    _assert_shared_gelu_matches_its_formulas(make_rng(10).standard_normal(3 * _CHUNK))
 
 
 @pytest.mark.parametrize("v", [0.0, -0.0, 0.7, -2.5, math.inf, -math.inf, math.nan, -math.nan])
@@ -295,6 +431,12 @@ def test_finite_diff_propagates_non_finite():
 
     with pytest.raises(EvaluationError):
         finite_diff_grad(f, np.array([0.0]), h=1e-5)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), -2**70])
+def test_a_negative_seed_raises_domain_error_naming_it(seed):
+    with pytest.raises(DomainError, match=re.escape(f"seed must be non-negative, got {seed!r}")):
+        make_rng(seed)
 
 
 def test_rng_reproducible():

@@ -2,6 +2,7 @@
 bad flag with a usage error; `digest_rows` runs the bit-identity digest."""
 
 import functools
+import os
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,20 @@ from interpreter import fresh_python
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+# the CPUs this process may use
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
 @functools.cache
-def digest_rows(threads):
-    """`scripts/digest.py`'s rows at an OpenBLAS thread count, as {kernel: "cases,sha256"};
-    run once per count per session."""
-    proc = fresh_python(str(SCRIPTS / "digest.py"), OPENBLAS_NUM_THREADS=str(threads))
+def digest_rows(threads, cpu=None):
+    """`scripts/digest.py`'s rows at an OpenBLAS thread count, as {kernel: "cases,sha256"},
+    in a child that may use only CPU cpu if one is given; run once per
+    arguments per session."""
+    script = str(SCRIPTS / "digest.py")
+    args = [script] if cpu is None else ["-c", (
+        f"import os, runpy, sys; os.sched_setaffinity(0, {{{cpu}}}); sys.argv = [{script!r}]; "
+        f"runpy.run_path({script!r}, run_name='__main__')")]
+    proc = fresh_python(*args, OPENBLAS_NUM_THREADS=str(threads))
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header == "kernel,cases,sha256"
@@ -49,3 +59,9 @@ def test_script_rejects_a_bad_flag_with_a_usage_error(script, args):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: ")
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="only one CPU is available")
+def test_digest_rows_do_not_depend_on_the_cpus_the_process_may_use():
+    # one CPU gives the serial GELU, and more give the shared one
+    assert digest_rows(1, cpu=CPUS[0]) == digest_rows(1)

@@ -94,6 +94,14 @@ def test_plan_rejects_non_positive_extents():
         plan_grid(0, 5, 4, 4)
 
 
+# a bool is an int that equals 1, and "10" a string that int() reads as 10;
+# the message shows the value as given
+@pytest.mark.parametrize("value,shown", [(True, "True"), (np.True_, "np.True_"), ("10", "'10'")])
+def test_plan_rejects_a_bool_or_a_string_extent_naming_it(value, shown):
+    with pytest.raises(DimensionError, match=f"^W must be a positive integer, got {shown}$"):
+        plan_grid(value, 10, 1, 1)
+
+
 def test_split_hand_case_w10():
     grid = plan_grid(10, 1, 4, 1)
     assert (grid.n_w, grid.l_w, grid.starts_x) == (3, 1, [0, 3, 6])
