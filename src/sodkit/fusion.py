@@ -23,7 +23,7 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError
+from .errors import DimensionError, DomainError, EvaluationError
 from .numeric import _empty, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor
 
 DEFAULT_GRN_EPS = 1e-6
@@ -87,9 +87,9 @@ class CCTMParams:
             if getattr(self, name).shape != (c,):
                 raise DimensionError(f"{name} must be ({c},), got {getattr(self, name).shape}")
         if not self.grn_eps > 0:
-            raise DimensionError(f"grn_eps must be positive, got {self.grn_eps}")
+            raise DomainError(f"grn_eps must be positive, got {self.grn_eps}")
         if not 0 < self.ln_eps < np.inf:
-            raise DimensionError(f"ln_eps must be positive and finite, got {self.ln_eps}")
+            raise DomainError(f"ln_eps must be positive and finite, got {self.ln_eps}")
 
     @classmethod
     def random(cls, c: int, rng: np.random.Generator) -> "CCTMParams":
@@ -259,7 +259,7 @@ def grn(x, gamma, beta, eps: float = DEFAULT_GRN_EPS) -> np.ndarray:
             f"gamma and beta must be ({c},), got {gamma.shape} and {beta.shape}"
         )
     if not eps > 0:
-        raise DimensionError(f"eps must be positive, got {eps}")
+        raise DomainError(f"eps must be positive, got {eps}")
     return _grn_state(x, gamma, beta, eps, _empty(x.shape)).out
 
 

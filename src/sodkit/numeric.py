@@ -151,8 +151,9 @@ def _sample_sum_product(a, b) -> np.ndarray:
 # scipy releases (1.17 among them); an imported scipy.special holds it in
 # sys.modules under this name
 _ERF_MODULE = "scipy.special._special_ufuncs"
-_ERF_LOCK = threading.Lock()
 _erf = None
+# held while either first-use load runs: the erf's and the helper threads'
+_LOAD_LOCK = threading.Lock()
 
 
 def _load_erf():
@@ -160,7 +161,7 @@ def _load_erf():
     _ERF_MODULE, taken from sys.modules or else loaded alone; on a scipy
     whose _ERF_MODULE is missing or lacks erf, erf from scipy.special."""
     global _erf
-    with _ERF_LOCK:
+    with _LOAD_LOCK:
         if _erf is None:
             module = sys.modules.get(_ERF_MODULE) or _load_special_extension(_ERF_MODULE)
             if hasattr(module, "erf"):
@@ -210,10 +211,19 @@ def _gelu_chain(erf, x, g, cdf) -> None:
 # self-scheduling, Polychronopoulos and Kuck, IEEE TC 1987).
 _CHUNK = 1 << 14
 _helpers = None  # their queue and threads, made at the first shared GELU
-_HELPERS_LOCK = threading.Lock()
-if hasattr(os, "register_at_fork"):  # a forked child starts helpers of its own
-    os.register_at_fork(after_in_child=lambda: globals().update(
-        _helpers=None, _HELPERS_LOCK=threading.Lock()))
+
+
+def _after_fork_in_child() -> None:
+    """A forked child has none of its parent's other threads, so a lock that
+    one of them held at the fork would stay held: make the locks anew, and let
+    the child start helpers of its own."""
+    global _LOAD_LOCK, _helpers
+    _LOAD_LOCK, _helpers = threading.Lock(), None
+    _POOL.lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _help(jobs) -> None:
@@ -227,7 +237,7 @@ def _shared_gelu_chain(erf, *arrays) -> bool:
     there are none). The caller waits only for chunks a helper has claimed,
     then raises the first error that a chunk raised."""
     global _helpers
-    with _HELPERS_LOCK:
+    with _LOAD_LOCK:
         if _helpers is None:
             import queue
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -22,6 +22,8 @@ from sodkit.boost import (
 )
 from sodkit.errors import DomainError
 
+from rejection import assert_rejected, whole
+
 
 def sample(y=1, p=0.5, h=8, w=8, h_hat=8, w_hat=8, side=1024):
     return BoxSample(H=side, W=side, h=h, w=w, y=y, p=p, h_hat=h_hat, w_hat=w_hat)
@@ -35,30 +37,6 @@ def test_size_factor_published_values():
 
 def test_size_factor_full_frame():
     assert size_factor(480, 640, 480, 640) == 1.0
-
-
-def test_size_factor_rejects_non_positive_and_oversize():
-    with pytest.raises(DomainError):
-        size_factor(0, 5, 100, 100)
-    with pytest.raises(DomainError):
-        size_factor(5, -1, 100, 100)
-    with pytest.raises(DomainError):
-        size_factor(101, 5, 100, 100)
-
-
-@pytest.mark.parametrize("fields,message", [
-    ({"y": 2}, "class indicator must be 0 or 1, got 2"),
-    ({"p": 1.5}, r"probability must lie in \[0, 1\], got 1.5"),
-    ({"h": 2048}, "positive box 2048x8 must fit inside image 1024x1024"),
-])
-def test_box_sample_rejects_fields_outside_their_domain(fields, message):
-    with pytest.raises(DomainError, match=f"^{message}$"):
-        sample(**fields)
-
-
-def test_positive_weight_rejects_size_factors_outside_0_1():
-    with pytest.raises(DomainError, match=r"^size factors must lie in \[0, 1\], got 1.5, 0.5$"):
-        positive_weight(1.5, 0.5, BoostConfig())
 
 
 @given(st.floats(1e-6, 1e6), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
@@ -112,11 +90,6 @@ def test_boost_loss_negative_scalar_oracle():
 def test_boost_loss_confident_positive_vanishes():
     cfg = BoostConfig(N=1)
     assert boost_loss([sample(y=1, p=1.0 - 1e-12)], cfg) < 1e-11
-
-
-def test_boost_loss_empty_batch_rejected():
-    with pytest.raises(DomainError):
-        boost_loss([], BoostConfig(N=1))
 
 
 def test_boost_grad_positive_closed_form():
@@ -186,15 +159,21 @@ def test_focal_positive_scalar_oracle():
 
 
 @pytest.mark.parametrize("fn", [focal_loss, focal_loss_grad])
-@pytest.mark.parametrize("alpha,gamma,n", [
-    (math.nan, 2.0, None), (1.5, 2.0, None), (-0.1, 2.0, None),
-    (0.25, -3.0, None), (0.25, math.inf, None), (0.25, math.nan, 1),
-    (0.25, 2.0, 0), (0.25, 2.0, -2),
-])
-def test_focal_rejects_parameters_outside_the_loss_domain(fn, alpha, gamma, n):
+@pytest.mark.parametrize("alpha,gamma,n,message", [
+    pytest.param(alpha, gamma, n, message, id=f"{alpha}-{gamma}-{n}")
+    for alpha, gamma, n, message in [
+        (math.nan, 2.0, None, "alpha must lie in [0, 1], got nan"),
+        (1.5, 2.0, None, "alpha must lie in [0, 1], got 1.5"),
+        (-0.1, 2.0, None, "alpha must lie in [0, 1], got -0.1"),
+        (0.25, -3.0, None, "gamma must be finite and >= 0, got -3.0"),
+        (0.25, math.inf, None, "gamma must be finite and >= 0, got inf"),
+        (0.25, math.nan, 1, "gamma must be finite and >= 0, got nan"),
+        (0.25, 2.0, 0, "N must be a positive integer, got 0"),
+        (0.25, 2.0, -2, "N must be a positive integer, got -2"),
+    ]])
+def test_focal_rejects_parameters_outside_the_loss_domain(fn, alpha, gamma, n, message):
     samples = [sample(y=1, p=0.5), sample(y=0, p=0.3)]
-    with pytest.raises(DomainError):
-        fn(samples, alpha, gamma, n=n)
+    assert_rejected(lambda: fn(samples, alpha, gamma, n=n), DomainError, whole(message))
 
 
 @pytest.mark.parametrize("fn", [
@@ -205,8 +184,8 @@ def test_focal_rejects_parameters_outside_the_loss_domain(fn, alpha, gamma, n):
 @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 0.5, True, False, np.True_])
 def test_object_count_must_be_a_whole_number_at_least_1(fn, n):
     samples = [sample(y=1, p=0.5), sample(y=0, p=0.3)]
-    with pytest.raises(DomainError, match="N must be a positive integer"):
-        fn(samples, n)
+    assert_rejected(lambda: fn(samples, n), DomainError,
+                    whole(f"N must be a positive integer, got {n}"))
 
 
 @pytest.mark.parametrize("n", [1, 2.0, np.int64(7), 2**70])

@@ -30,6 +30,7 @@ from sodkit.harness import (
 )
 from sodkit.tiling import clap_apply
 
+from rejection import assert_rejected, whole
 from test_scripts import digest_rows
 
 # frozen from a reference run of the generator (seed 42, n = 100000)
@@ -64,16 +65,6 @@ def test_synth_single_sample_in_range():
     ((h, w),) = data.sides.tolist()
     assert 2.0 <= h <= 512.0 and 2.0 <= w <= 512.0
     assert 0 <= data.bucket[0] < len(BUCKET_NAMES)
-
-
-def test_synth_rejects_an_empty_dataset():
-    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
-        synth_dataset(0, 0)
-
-
-def test_synth_rejects_a_negative_seed_naming_it():
-    with pytest.raises(DomainError, match="^seed must be non-negative, got -1$"):
-        synth_dataset(-1, 2)
 
 
 def test_synth_golden_bucket_counts():
@@ -123,8 +114,8 @@ def test_synth_buckets_match_size_bucket(seed, n):
 def test_synth_data_rejects_inconsistent_columns(column, shape, reported):
     data = synth_dataset(3, 5)
     bad = np.zeros(shape, dtype=getattr(data, column).dtype)
-    with pytest.raises(DimensionError, match=rf"SynthData\.{reported} has shape"):
-        dataclasses.replace(data, **{column: bad})
+    assert_rejected(lambda: dataclasses.replace(data, **{column: bad}), DimensionError,
+                    rf"^SynthData\.{reported} has shape \(")
 
 
 # A frozen copy of the trainer's per-quantity loss functions as they stood
@@ -361,13 +352,6 @@ def test_train_toy_bits_do_not_depend_on_the_blas_thread_count():
     assert one == two
 
 
-def test_train_toy_rejects_features_of_the_wrong_length():
-    data = synth_dataset(3, 5)
-    with pytest.raises(DimensionError, match=r"SynthData\.features has shape"):
-        train_toy(dataclasses.replace(data, features=data.features[:, :-1]),
-                  RunConfig(epochs=1, seed=3, n=5))
-
-
 def test_train_zero_epochs_reproducible():
     data = synth_dataset(5, 300)
     cfg = RunConfig(loss="boost", epochs=0, seed=5, n=300)
@@ -377,22 +361,11 @@ def test_train_zero_epochs_reproducible():
     assert math.isfinite(m1.final_loss)
 
 
-def test_train_rejects_bad_config():
-    # 10 samples against the default n: the config checks come first
-    data = synth_dataset(5, 10)
-    with pytest.raises(DomainError, match="loss must be"):
-        train_toy(data, RunConfig(loss="hinge"))
-    with pytest.raises(DomainError, match="learning rate"):
-        train_toy(data, RunConfig(lr=0.0))
-    with pytest.raises(DomainError, match="epochs"):
-        train_toy(data, RunConfig(epochs=-1))
-
-
 @pytest.mark.parametrize("n", [1, 99, 101, 5000])
 def test_train_rejects_a_dataset_of_another_size(n):
     # the CSV header reports cfg.n, so it must be the count trained on
-    with pytest.raises(DomainError, match=rf"dataset has 100 samples, but the config says n={n}$"):
-        train_toy(synth_dataset(0, 100), RunConfig(n=n, epochs=1))
+    assert_rejected(lambda: train_toy(synth_dataset(0, 100), RunConfig(n=n, epochs=1)),
+                    DomainError, whole(f"dataset has 100 samples, but the config says n={n}"))
 
 
 def test_train_divergence_raises_with_epoch():
@@ -490,10 +463,8 @@ def test_ingest_malformed_entry_carries_index(tmp_path, entry, needle):
     good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
     path = tmp_path / "r.json"
     path.write_text(json.dumps([good, entry]))
-    with pytest.raises(ParseError, match=needle) as info:
-        ingest_coco_results(str(path))
-    assert info.value.index == 1
-    assert "entry 1" in str(info.value)
+    # the contract also checks that the error's index is the 1 the message names
+    assert_rejected(lambda: ingest_coco_results(str(path)), ParseError, f"^entry 1: .*{needle}")
 
 
 def _ingest_reference(raw):
@@ -642,37 +613,6 @@ def test_ingest_matches_per_entry_reference(tmp_path_factory, text):
     assert np.signbit(dets.score).tolist() == [math.copysign(1, v) < 0 for v in score]
 
 
-def test_ingest_rejects_json_nested_too_deeply(tmp_path):
-    path = tmp_path / "r.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    with pytest.raises(ParseError, match="nested too deeply"):
-        ingest_coco_results(str(path))
-
-
-@pytest.mark.parametrize("text", ["", '[{"image_id": 1,'])
-def test_ingest_rejects_text_that_is_not_json(tmp_path, text):
-    path = tmp_path / "r.json"
-    path.write_text(text)
-    with pytest.raises(ParseError, match="^not valid JSON: "):
-        ingest_coco_results(str(path))
-
-
-# two bytes that start UTF-16 text, UTF-16 with a byte-order mark, and a
-# Latin-1 'é'
-@pytest.mark.parametrize("data,position", [
-    (b"\xff\xfe", 0),
-    ('[{"image_id": 1}]'.encode("utf-16"), 0),
-    ('[{"image_id": 1, "name": "café"}]'.encode("latin-1"), 29),
-])
-def test_ingest_rejects_text_that_is_not_utf8(tmp_path, data, position):
-    path = tmp_path / "r.json"
-    path.write_bytes(data)
-    with pytest.raises(ParseError, match=f"^not UTF-8 text: 'utf-8' codec can't decode byte "
-                                         f"0x{data[position]:02x} in position {position}") as exc:
-        ingest_coco_results(str(path))
-    assert exc.value.index is None
-
-
 def test_ingest_keeps_int64_extremes(tmp_path):
     entry = {"image_id": 2**63 - 1, "category_id": -(2**63), "bbox": [0, 0, 1, 1], "score": 1}
     path = tmp_path / "r.json"
@@ -734,14 +674,6 @@ def test_ingest_converts_large_integers_as_float_does(tmp_path, value):
     entry = {"image_id": 1, "category_id": 1, "bbox": [value, 0, value, 1], "score": 1}
     bbox = ingest_coco_results(_results_file(tmp_path, [entry])).bbox
     assert bbox.tobytes() == np.array([[float(value), 0.0, float(value), 1.0]]).tobytes()
-
-
-def test_ingest_rejects_an_integer_too_large_for_a_float(tmp_path):
-    entries = _valid_entries(3)
-    entries[2]["bbox"][1] = 2**1100
-    with pytest.raises(ParseError, match="non-numeric field: int too large to convert") as info:
-        ingest_coco_results(_results_file(tmp_path, entries))
-    assert info.value.index == 2
 
 
 def test_ingest_accepts_extra_keys(tmp_path):
@@ -831,28 +763,10 @@ def test_score_stats_matches_running_loop(seed):
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-def test_score_stats_validates_arguments():
-    with pytest.raises(DomainError):
-        score_stats(make_dets([]), threshold=1.5)
-    with pytest.raises(DomainError):
-        score_stats(make_dets([]), threshold=0.5, bucket_edges=(0.0, 5.0, 5.0))
-    for edges in [(math.nan,), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]:
-        with pytest.raises(DomainError, match="finite"):
-            score_stats(make_dets([]), threshold=0.5, bucket_edges=edges)
-
-
 def test_fixed_size_mlp_identity():
     x = make_rng(1).standard_normal((3, 5, 7))
     w = FixedSizeMlpWeights.identity(5, 7)
     assert np.allclose(fixed_size_mlp(x, w), x)
-
-
-def test_fixed_size_mlp_rejects_other_sizes():
-    w = FixedSizeMlpWeights.identity(5, 7)
-    with pytest.raises(DimensionError):
-        fixed_size_mlp(np.zeros((1, 5, 8)), w)
-    with pytest.raises(DimensionError):
-        fixed_size_mlp(np.zeros((1, 6, 7)), w)
 
 
 def test_fixed_size_mlp_hand_evaluation():
@@ -882,9 +796,6 @@ def test_clap_lifts_fixed_size_restriction():
         assert out.shape == (1, h, wd)
         with pytest.raises(DimensionError):
             fixed_size_mlp(np.zeros((1, h, wd)), w)
-
-
-GOLDEN_DIR = "tests/data"
 
 
 @pytest.mark.parametrize("name,loss,beta", [

@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import re
 import threading
 import warnings
 import weakref
@@ -21,6 +20,7 @@ from sodkit.numeric import (
 from sodkit.errors import DomainError, EvaluationError
 
 from interpreter import fresh_python
+from rejection import assert_rejected, whole
 
 
 def test_gelu_zero():
@@ -225,18 +225,54 @@ def _gelu_in_a_forked_child(x, want_g, want_cdf):
     assert len(threads) == len(os.sched_getaffinity(0)) - 1
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_shares_a_gelu_with_helpers_of_its_own():
-    x = make_rng(9).standard_normal(5 * _CHUNK)
-    want = _in_thread(lambda: _gelu_and_cdf(x))  # the parent's helpers are running
-    child = multiprocessing.get_context("fork").Process(
-        target=_gelu_in_a_forked_child, args=(x, *want))
+def _exit_code_of_a_forked_child(target, *args):
+    """target(*args) in a forked child, killed after 60 s so that a hang
+    fails: the child's exit code, 0 if target returned."""
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
     child.start()
     child.join(60)
     if child.is_alive():
         child.kill()
         child.join()
-    assert child.exitcode == 0
+    return child.exitcode
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_shares_a_gelu_with_helpers_of_its_own():
+    x = make_rng(9).standard_normal(5 * _CHUNK)
+    want = _in_thread(lambda: _gelu_and_cdf(x))  # the parent's helpers are running
+    assert _exit_code_of_a_forked_child(_gelu_in_a_forked_child, x, *want) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_child_forked_during_the_erf_load_loads_the_erf():
+    # in a fresh interpreter, where no erf is loaded yet, the main thread holds
+    # the load lock across the fork, as a thread in the middle of the load would
+    proc = fresh_python("-c", """
+import multiprocessing
+import numpy as np
+from sodkit import gelu, numeric
+with numeric._LOAD_LOCK:
+    child = multiprocessing.get_context("fork").Process(target=gelu, args=(np.ones(3),),
+                                                        daemon=True)  # killed at exit
+    child.start()
+child.join(30)
+print(child.exitcode)
+""")
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def _freed_maps_kept_in_a_forked_child():
+    numeric._empty_pool()
+    maps = [_empty((2, 16, 1024)) for _ in range(3)]
+    del maps
+    assert len(numeric._POOL.free[2 * 16 * 1024]) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_child_forked_while_the_pool_is_locked_keeps_freed_maps():
+    with numeric._POOL.lock:  # as a thread that gives back a buffer at the fork holds it
+        assert _exit_code_of_a_forked_child(_freed_maps_kept_in_a_forked_child) == 0
 
 
 def test_a_finished_shared_gelu_holds_no_reference_to_its_arrays():
@@ -435,8 +471,8 @@ def test_finite_diff_propagates_non_finite():
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-3), -2**70])
 def test_a_negative_seed_raises_domain_error_naming_it(seed):
-    with pytest.raises(DomainError, match=re.escape(f"seed must be non-negative, got {seed!r}")):
-        make_rng(seed)
+    assert_rejected(lambda: make_rng(seed), DomainError,
+                    whole(f"seed must be non-negative, got {seed!r}"))
 
 
 def test_rng_reproducible():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from sodkit import clap_apply, make_rng, plan_grid, reassemble, split
 from sodkit.errors import DimensionError, TilingError
 
+from rejection import assert_rejected, whole
+
 
 def oracle_axis(extent, patch):
     """Independent re-derivation of the per-axis plan.
@@ -72,11 +74,6 @@ def test_plan_spot_values():
     assert g.starts_x == [0] and g.pad_w == 0
 
 
-def test_plan_small_ratio_is_error():
-    with pytest.raises(TilingError, match="6.*4|4.*6"):
-        plan_grid(6, 1, 4, 1)
-
-
 def test_plan_bounds_the_patch_count_of_each_axis():
     bound = 2**20
     # 2**20 unit patches, then one more on either axis; a far larger count
@@ -89,17 +86,12 @@ def test_plan_bounds_the_patch_count_of_each_axis():
     assert plan_grid(10**9, 1, 1000, 1).n_w == 10**6
 
 
-def test_plan_rejects_non_positive_extents():
-    with pytest.raises(DimensionError):
-        plan_grid(0, 5, 4, 4)
-
-
 # a bool is an int that equals 1, and "10" a string that int() reads as 10;
 # the message shows the value as given
 @pytest.mark.parametrize("value,shown", [(True, "True"), (np.True_, "np.True_"), ("10", "'10'")])
 def test_plan_rejects_a_bool_or_a_string_extent_naming_it(value, shown):
-    with pytest.raises(DimensionError, match=f"^W must be a positive integer, got {shown}$"):
-        plan_grid(value, 10, 1, 1)
+    assert_rejected(lambda: plan_grid(value, 10, 1, 1), DimensionError,
+                    whole(f"W must be a positive integer, got {shown}"))
 
 
 def test_split_hand_case_w10():
@@ -119,12 +111,6 @@ def test_split_single_patch_identity():
     assert np.array_equal(patches[0], x)
 
 
-def test_split_extent_mismatch():
-    grid = plan_grid(10, 4, 4, 4)
-    with pytest.raises(DimensionError):
-        split(np.zeros((1, 4, 11)), grid)
-
-
 def test_split_pads_with_zeros():
     grid = plan_grid(3, 2, 4, 4)
     assert (grid.pad_w, grid.pad_h) == (1, 2)
@@ -140,26 +126,6 @@ def test_reassemble_two_patch_overlap_mean():
     assert grid.starts_x == [0, 3]
     out = reassemble([np.full((1, 1, 4), 1.0), np.full((1, 1, 4), 3.0)], grid)
     assert out.ravel().tolist() == [1, 1, 1, 2, 3, 3, 3]
-
-
-def test_reassemble_rejects_bad_patch_list():
-    grid = plan_grid(7, 1, 4, 1)
-    with pytest.raises(DimensionError):
-        reassemble([np.zeros((1, 1, 4))], grid)
-    with pytest.raises(DimensionError):
-        reassemble([np.zeros((1, 1, 4)), np.zeros((1, 1, 5))], grid)
-    # a wrongly shaped patch in a later row is named by its index
-    grid = plan_grid(10, 10, 4, 4)
-    assert (grid.n_w, grid.n_h) == (3, 3)
-    patches = [np.zeros((2, 4, 4)) for _ in range(grid.n_patches)]
-    with pytest.raises(DimensionError, match=r"^expected 9 patches, got 8$"):
-        reassemble(patches[:-1], grid)
-    patches[7] = np.zeros((2, 4, 5))
-    with pytest.raises(DimensionError, match=r"^patch 7 has shape \(2, 4, 5\), expected \(2, 4, 4\)$"):
-        reassemble(patches, grid)
-    patches[4] = np.zeros((1, 4, 4))
-    with pytest.raises(DimensionError, match=r"^patch 4 has shape \(1, 4, 4\), expected \(2, 4, 4\)$"):
-        reassemble(patches, grid)
 
 
 @given(
@@ -292,11 +258,3 @@ def test_clap_apply_linear_in_input():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_clap_apply_rejects_an_input_without_a_channel_axis():
-    with pytest.raises(DimensionError, match=r"^expected a \[C, H, W\] input, got shape \(64, 64\)$"):
-        clap_apply(np.zeros((64, 64)), lambda p: p, 32, 32)
-
-
-def test_clap_apply_rejects_shape_changing_op():
-    with pytest.raises(DimensionError):
-        clap_apply(np.zeros((1, 64, 64)), lambda p: p[:, :1, :1], 32, 32)
