@@ -23,7 +23,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _whole
 
 P_CLAMP = 1e-12
 
@@ -73,9 +73,7 @@ class BoostConfig:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
-        # a count: a whole number >= 1, so nan, inf, 2.5 and booleans fail
-        if isinstance(self.N, (bool, np.bool_)) or not (self.N >= 1 and self.N % 1 == 0):
-            raise DomainError(f"N must be a positive integer, got {self.N}")
+        _whole("N", self.N, 1)
 
 
 def size_factor(h: float, w: float, H: float, W: float) -> float:

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its whole-number rule."""
+
+import contextlib
+import sys
 
 
 class SodkitError(Exception):
@@ -35,3 +38,14 @@ class TrainingError(SodkitError):
 
 class EvaluationError(SodkitError):
     """gradient_check's objective is non-finite at a perturbed point."""
+
+
+def _whole(name, value, least, error=DomainError) -> int:
+    """value as an int, if it is a whole number >= least (0 or 1) and not a bool
+    (numpy's counts once numpy is loaded, as none exists before); else error."""
+    if not isinstance(value, (bool, getattr(sys.modules.get("numpy"), "bool_", bool))):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+            if int(value) == value and value >= least:
+                return int(value)
+    sign = "positive" if least else "non-negative"
+    raise error(f"{name} must be a {sign} integer, got {value!r}")

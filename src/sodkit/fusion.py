@@ -23,7 +23,7 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EvaluationError
+from .errors import DimensionError, DomainError, EvaluationError, _whole
 from .numeric import _empty, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, make_rng, tensor
 
 DEFAULT_GRN_EPS = 1e-6
@@ -96,7 +96,7 @@ class CCTMParams:
         """Every array uniform in +-1/sqrt(C); exercises all gradient paths."""
         # numpy's shape check, which allocates nothing, refuses an extent no
         # numpy integer holds as the draws would, before np.sqrt meets it
-        (c,) = np.broadcast_shapes((c,))
+        (c,) = np.broadcast_shapes((_whole("C", c, 1, DimensionError),))
         bound = 1.0 / np.sqrt(c)
         kwargs = {
             name: rng.uniform(-bound, bound, size=(c, c) if name in _MATRIX_FIELDS else (c,))
@@ -483,11 +483,10 @@ def gradient_check(seed: int, shape: tuple[int, int, int]) -> float:
     result is the one-forward-per-coordinate result bit for bit."""
     if len(shape) != 3:
         raise DimensionError(f"expected three extents B,C,L, got {shape!r}")
-    if min(shape) < 1:
-        raise DimensionError(f"every extent of B,C,L must be >= 1, got {shape}")
+    extents = (_whole(name, v, 1, DimensionError) for name, v in zip("BCL", shape))
     # numpy's shape check, which allocates nothing, refuses an extent no numpy
     # integer holds before the bound below names it
-    bsz, c, length = np.broadcast_shapes(shape)
+    bsz, c, length = np.broadcast_shapes(tuple(extents))
     coords = 2 * bsz * c * length + 5 * c * c + 9 * c
     if coords > _GRAD_CHECK_MAX_COORDS:
         raise DimensionError(

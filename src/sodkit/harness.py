@@ -20,7 +20,7 @@ from typing import NoReturn
 import numpy as np
 
 from .boost import BoostConfig, _cls_loss_and_grad
-from .errors import DimensionError, DomainError, ParseError, TrainingError
+from .errors import DimensionError, DomainError, ParseError, TrainingError, _whole
 from .numeric import _empty, _sample_sum_product, _sigmoid_into, make_rng, tensor
 
 FEATURE_DIM = 16
@@ -83,12 +83,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.loss not in ("boost", "focal"):
             raise DomainError(f"loss must be 'boost' or 'focal', got {self.loss!r}")
-        if self.epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
+        self.epochs = _whole("epochs", self.epochs, 0)  # train_toy's range() takes an int
         if not self.lr > 0:
             raise DomainError(f"learning rate must be positive, got {self.lr}")
-        if self.n < 1:
-            raise DomainError(f"dataset size must be >= 1, got {self.n}")
+        _whole("n", self.n, 1)
+        _whole("seed", self.seed, 0)
         BoostConfig(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
 
@@ -99,8 +98,7 @@ def synth_dataset(seed: int, n: int) -> SynthData:
     labels are fair coin flips, and feature noise scales with
     1 / size_factor^0.1 so small objects are noisier.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _whole("n", n, 1)
     rng = make_rng(seed)
     lo, hi = np.log(SIDE_RANGE[0]), np.log(SIDE_RANGE[1])
     sides = np.exp(rng.uniform(lo, hi, size=(n, 2)))
@@ -446,10 +444,12 @@ class FixedSizeMlpWeights:
 
     @classmethod
     def identity(cls, h_o: int, w_o: int) -> "FixedSizeMlpWeights":
+        h_o, w_o = _whole("H_o", h_o, 1, DimensionError), _whole("W_o", w_o, 1, DimensionError)
         return cls(np.eye(w_o), np.zeros(w_o), np.eye(h_o), np.zeros(h_o))
 
     @classmethod
     def random(cls, h_o: int, w_o: int, rng: np.random.Generator) -> "FixedSizeMlpWeights":
+        h_o, w_o = _whole("H_o", h_o, 1, DimensionError), _whole("W_o", w_o, 1, DimensionError)
         return cls(
             rng.uniform(-1, 1, (w_o, w_o)) / math.sqrt(w_o),
             rng.uniform(-1, 1, w_o),

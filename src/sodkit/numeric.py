@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError, _whole
 
 # Arrays of at least _POOL_MIN_BYTES are built in buffers that earlier arrays
 # freed, so that a repeated step reuses pages it has already touched, and a
@@ -38,7 +38,14 @@ _CACHE_LINE = 64
 
 
 def tensor(data) -> np.ndarray:
-    """Coerce to a C-contiguous (row-major) float64 array."""
+    """Coerce to a C-contiguous (row-major) float64 array; reject a ragged or complex input."""
+    if getattr(data, "dtype", None) != np.float64:
+        try:
+            data = np.asarray(data)
+        except ValueError as exc:
+            raise DimensionError(f"not a rectangular array: {exc}") from None
+        if data.dtype.kind == "c":
+            raise DomainError(f"expected real values, got a {data.dtype} array")
     return np.asarray(data, dtype=np.float64, order="C")
 
 
@@ -46,12 +53,10 @@ def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64). Same seed, same stream, any platform.
 
     The generator is single-owner mutable state: give each concurrent user
-    its own generator instead of sharing one instance. A negative integer
-    seed raises DomainError.
+    its own generator instead of sharing one instance. A seed that is not a
+    whole number >= 0 raises DomainError.
     """
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed!r}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_whole("seed", seed, 0)))
 
 
 class _Pool:

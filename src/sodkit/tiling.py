@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, TilingError
+from .errors import DimensionError, TilingError, _whole
 from .numeric import tensor
 
 FixedSizeOp = Callable[[np.ndarray], np.ndarray]
@@ -86,10 +86,8 @@ def _plan_axis(extent: int, patch: int) -> tuple[int, int, list[int], int]:
 
 def plan_grid(W: int, H: int, W_o: int, H_o: int) -> PatchGrid:
     """Plan the tiling of an H x W input into H_o x W_o patches."""
-    for name, v in (("W", W), ("H", H), ("W_o", W_o), ("H_o", H_o)):
-        if isinstance(v, (bool, np.bool_)) or int(v) != v or v < 1:
-            raise DimensionError(f"{name} must be a positive integer, got {v!r}")
-    W, H, W_o, H_o = int(W), int(H), int(W_o), int(H_o)
+    extents = (("W", W), ("H", H), ("W_o", W_o), ("H_o", H_o))
+    W, H, W_o, H_o = (_whole(name, v, 1, DimensionError) for name, v in extents)
     n_w, l_w, starts_x, pad_w = _plan_axis(W, W_o)
     n_h, l_h, starts_y, pad_h = _plan_axis(H, H_o)
     return PatchGrid(

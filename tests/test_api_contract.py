@@ -20,7 +20,7 @@ from sodkit import (
     BoostConfig, CCTMParams, DimensionError, DomainError, FixedSizeMlpWeights, ParseError,
     RunConfig, TilingError, boost_loss, cctm_backward, cctm_forward, clap_apply, cross_gate,
     fixed_size_mlp, grn, ingest_coco_results, make_rng, plan_grid, positive_weight, reassemble,
-    score_stats, size_factor, split, synth_dataset, train_toy,
+    score_stats, size_factor, split, synth_dataset, tensor, train_toy,
 )
 from sodkit.fusion import gradient_check
 
@@ -87,6 +87,10 @@ _REJECTED = [
     *[(f"gradient_check-{len(shape)}-extents", lambda shape=shape: gradient_check(0, shape),
        DimensionError, _whole(f"expected three extents B,C,L, got {shape!r}"))
       for shape in [(1, 3), (), (1, 3, 5, 1)]],
+    ("gradient_check-C-True", lambda: gradient_check(0, (1, True, 2)), DimensionError,
+     _whole("C must be a positive integer, got True")),
+    *[(f"CCTMParams.random-{c}", lambda c=c: CCTMParams.random(c, make_rng(0)), DimensionError,
+       _whole(f"C must be a positive integer, got {c!r}")) for c in (0, -1, True)],
     ("validate-mlp_e_w2-(3, 2)", lambda: _params(3, 50, mlp_e_w2=np.zeros((3, 2))).validate(),
      DimensionError, _whole("mlp_e_w2 must be (3, 3), got (3, 2)")),
     ("validate-grn_eps-0.0", lambda: _params(3, 51, grn_eps=0.0).validate(), DomainError,
@@ -109,9 +113,11 @@ _REJECTED = [
      DomainError, _whole("eps must be positive, got 0.0")),
     # harness
     ("synth_dataset-n-0", lambda: synth_dataset(0, 0), DomainError,
-     _whole("n must be >= 1, got 0")),
+     _whole("n must be a positive integer, got 0")),
+    ("synth_dataset-n-True", lambda: synth_dataset(0, True), DomainError,
+     _whole("n must be a positive integer, got True")),
     ("synth_dataset-seed--1", lambda: synth_dataset(-1, 2), DomainError,
-     _whole("seed must be non-negative, got -1")),
+     _whole("seed must be a non-negative integer, got -1")),
     ("train_toy-15-features",
      lambda: train_toy(dataclasses.replace(d := synth_dataset(3, 5), features=d.features[:, :-1]),
                        RunConfig(epochs=1, seed=3, n=5)),
@@ -121,7 +127,13 @@ _REJECTED = [
        _whole(message)) for name, cfg, message in [
           ("loss-hinge", RunConfig(loss="hinge"), "loss must be 'boost' or 'focal', got 'hinge'"),
           ("lr-0.0", RunConfig(lr=0.0), "learning rate must be positive, got 0.0"),
-          ("epochs--1", RunConfig(epochs=-1), "epochs must be >= 0, got -1")]],
+          ("epochs--1", RunConfig(epochs=-1), "epochs must be a non-negative integer, got -1"),
+          ("epochs-True", RunConfig(epochs=True),
+           "epochs must be a non-negative integer, got True"),
+          ("seed-True", RunConfig(seed=True), "seed must be a non-negative integer, got True")]],
+    # True equals the one sample's count, so only the rule for n refuses it
+    ("train_toy-n-True", lambda: train_toy(synth_dataset(0, 1), RunConfig(n=True, epochs=1)),
+     DomainError, _whole("n must be a positive integer, got True")),
     ("score_stats-threshold-1.5", lambda: score_stats(make_dets([]), threshold=1.5), DomainError,
      _whole("threshold must lie in [0, 1], got 1.5")),
     *[(f"score_stats-edges-{edges}",
@@ -134,6 +146,8 @@ _REJECTED = [
        lambda shape=shape: fixed_size_mlp(np.zeros(shape), FixedSizeMlpWeights.identity(5, 7)),
        DimensionError, _whole(f"fixed-size operator expects [C, 5, 7] input, got shape {shape}"))
       for shape in [(1, 5, 8), (1, 6, 7)]],
+    ("FixedSizeMlpWeights.identity-H_o--1", lambda: FixedSizeMlpWeights.identity(-1, 2),
+     DimensionError, _whole("H_o must be a positive integer, got -1")),
     ("ingest-y-2**1100", json.dumps(_TOO_LARGE).encode(), ParseError,
      "^entry 2: non-numeric field: int too large to convert"),
     ("ingest-nested-too-deeply", b"[" * 100_000 + b"]" * 100_000, ParseError,
@@ -148,6 +162,12 @@ _REJECTED = [
           ("utf-16-start", b"\xff\xfe", 0), ("utf-16", '[{"image_id": 1}]'.encode("utf-16"), 0),
           ("latin-1", '[{"image_id": 1, "name": "café"}]'.encode("latin-1"), 29)]],
     # numeric
+    ("make_rng-True", lambda: make_rng(True), DomainError,
+     _whole("seed must be a non-negative integer, got True")),
+    ("tensor-ragged", lambda: tensor([[1], [1, 2]]), DimensionError,
+     "^not a rectangular array: setting an array element with a sequence"),
+    ("tensor-complex", lambda: tensor(np.array([1.0, 2j])), DomainError,
+     _whole("expected real values, got a complex128 array")),
     # tiling
     ("plan_grid-degenerate", lambda: plan_grid(6, 1, 4, 1), TilingError,
      _whole("degenerate tiling: extent 6 with patch 4 gives overlap 4 >= patch width")),
@@ -176,6 +196,14 @@ _REJECTED = [
      DimensionError, _whole("operator changed patch 0 shape (1, 32, 32) -> (1, 1, 1)")),
 ]
 assert len({row[0] for row in _REJECTED}) == len(_REJECTED)
+
+
+def test_a_whole_float_or_a_numpy_integer_counts_as_its_int():
+    a, b = synth_dataset(0, 2.0), synth_dataset(0, 2)
+    assert all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("features", "y", "sides", "bucket"))
+    assert np.array_equal(make_rng(np.uint64(5)).integers(2**63, size=8),
+                          make_rng(5).integers(2**63, size=8))
 
 
 @pytest.mark.parametrize("call,error,needle", [row[1:] for row in _REJECTED],

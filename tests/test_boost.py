@@ -185,7 +185,7 @@ def test_focal_rejects_parameters_outside_the_loss_domain(fn, alpha, gamma, n, m
 def test_object_count_must_be_a_whole_number_at_least_1(fn, n):
     samples = [sample(y=1, p=0.5), sample(y=0, p=0.3)]
     assert_rejected(lambda: fn(samples, n), DomainError,
-                    whole(f"N must be a positive integer, got {n}"))
+                    whole(f"N must be a positive integer, got {n!r}"))
 
 
 @pytest.mark.parametrize("n", [1, 2.0, np.int64(7), 2**70])

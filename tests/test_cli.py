@@ -60,9 +60,12 @@ _REJECTED = [
      ["clap-plan", "--width", "6", "--height", "1", "--patch-w", "4", "--patch-h", "1"],
      "degenerate"),
     ("clap-plan-missing-flag", ["clap-plan", "--width", "100"], "required"),
-    ("cctm-check-shape-1,0,5", ["cctm-check", "--shape", "1,0,5"], ">= 1"),
-    ("cctm-check-shape-1,3,0", ["cctm-check", "--shape", "1,3,0"], ">= 1"),
-    ("cctm-check-shape-0,3,5", ["cctm-check", "--shape", "0,3,5"], ">= 1"),
+    ("cctm-check-shape-1,0,5", ["cctm-check", "--shape", "1,0,5"],
+     "C must be a positive integer, got 0"),
+    ("cctm-check-shape-1,3,0", ["cctm-check", "--shape", "1,3,0"],
+     "L must be a positive integer, got 0"),
+    ("cctm-check-shape-0,3,5", ["cctm-check", "--shape", "0,3,5"],
+     "B must be a positive integer, got 0"),
     # beyond every numpy integer, so np.sqrt(C) cannot take it, and, at 401
     # digits, beyond float64, so math.sqrt(C) cannot either
     ("cctm-check-channels-2**64", ["cctm-check", "--shape", f"1,{2**64},1"],

@@ -472,7 +472,7 @@ def test_finite_diff_propagates_non_finite():
 @pytest.mark.parametrize("seed", [-1, np.int64(-3), -2**70])
 def test_a_negative_seed_raises_domain_error_naming_it(seed):
     assert_rejected(lambda: make_rng(seed), DomainError,
-                    whole(f"seed must be non-negative, got {seed!r}"))
+                    whole(f"seed must be a non-negative integer, got {seed!r}"))
 
 
 def test_rng_reproducible():

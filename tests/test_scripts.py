@@ -52,6 +52,7 @@ def test_script_runs(script, args, header):
     ("tiling_sweep.py", ["--patch", "0"]),
     ("compare_losses.py", ["--betas", ","]),
     ("compare_losses.py", ["--n", "0"]),
+    ("compare_losses.py", ["--seed", "-1"]),
 ])
 def test_script_rejects_a_bad_flag_with_a_usage_error(script, args):
     proc = fresh_python(str(SCRIPTS / script), *args)
