@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from . import fusion, harness, tiling
 from .boost import weight_table
-from .errors import EvaluationError, SodkitError, TrainingError
+from .errors import EvaluationError, SodkitError, TrainingError, _whole
 
 GRAD_CHECK_TOL = 1e-4
 
@@ -70,17 +70,12 @@ def floats(s):
 
 def _seed(s):
     """A seed: any non-negative integer, however large."""
-    v = int(s)
-    if v < 0:
-        raise ValueError(f"expected a non-negative integer, got {s!r}")
-    return v
+    return _whole("seed", int(s), 0, ValueError)
 
 
-def _ints3(s):
-    parts = [int(v) for v in s.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected B,C,L, got {s!r}")
-    return tuple(parts)
+def _ints(s):
+    """'1,3,5' -> (1, 3, 5); the command checks the count."""
+    return tuple(int(v) for v in s.split(","))
 
 
 def _load_config(path: str, opts: list[Opt]) -> dict:
@@ -173,7 +168,7 @@ COMMANDS: dict[str, tuple[list[Opt], callable]] = {
     ], _cmd_clap_plan),
     "cctm-check": ([
         Opt("--seed", _seed, default=0, help="RNG seed"),
-        Opt("--shape", _ints3, default=(1, 3, 5), help="tensor shape B,C,L"),
+        Opt("--shape", _ints, default=(1, 3, 5), help="tensor shape B,C,L"),
     ], _cmd_cctm_check),
     "boost-table": ([
         Opt("--image", _pair, default=(1024.0, 1024.0), help="image size HxW"),

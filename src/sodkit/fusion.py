@@ -19,6 +19,8 @@ pass is exact and is validated against central finite differences.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
@@ -94,9 +96,10 @@ class CCTMParams:
     @classmethod
     def random(cls, c: int, rng: np.random.Generator) -> "CCTMParams":
         """Every array uniform in +-1/sqrt(C); exercises all gradient paths."""
-        # numpy's shape check, which allocates nothing, refuses an extent no
-        # numpy integer holds as the draws would, before np.sqrt meets it
-        (c,) = np.broadcast_shapes((_whole("C", c, 1, DimensionError),))
+        c = _whole("C", c, 1, DimensionError)
+        if 8 * c * c > sys.maxsize:  # numpy's bound on an array's bytes
+            raise DimensionError(f"C must be at most {math.isqrt(sys.maxsize // 8)} "
+                                 f"for a C x C float64 array, got {c}")
         bound = 1.0 / np.sqrt(c)
         kwargs = {
             name: rng.uniform(-bound, bound, size=(c, c) if name in _MATRIX_FIELDS else (c,))
@@ -483,10 +486,7 @@ def gradient_check(seed: int, shape: tuple[int, int, int]) -> float:
     result is the one-forward-per-coordinate result bit for bit."""
     if len(shape) != 3:
         raise DimensionError(f"expected three extents B,C,L, got {shape!r}")
-    extents = (_whole(name, v, 1, DimensionError) for name, v in zip("BCL", shape))
-    # numpy's shape check, which allocates nothing, refuses an extent no numpy
-    # integer holds before the bound below names it
-    bsz, c, length = np.broadcast_shapes(tuple(extents))
+    bsz, c, length = (_whole(name, v, 1, DimensionError) for name, v in zip("BCL", shape))
     coords = 2 * bsz * c * length + 5 * c * c + 9 * c
     if coords > _GRAD_CHECK_MAX_COORDS:
         raise DimensionError(

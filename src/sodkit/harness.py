@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import NoReturn
 
 import numpy as np
 
@@ -289,17 +288,15 @@ def _metrics(bucket, pos, p, weight, cfg, final_loss) -> TrainMetrics:
 
 
 _INT64 = range(-(2**63), 2**63)
-# float() takes these, but a COCO number is a JSON number
-_NOT_NUMBERS = frozenset((str, bool))
 _KEYS = ("image_id", "category_id", "bbox", "score")
 
 
 def ingest_coco_results(path: str) -> Detections:
     """Parse a COCO results JSON array into columns; malformed entries raise
-    ParseError carrying the index of the first malformed entry. Each check
-    is one whole-column test. Values are not coerced: a bbox value or score
-    that is a string or a boolean is malformed, and so is an id that is not a
-    JSON integer or lies outside the int64 range."""
+    ParseError carrying the index of the first malformed entry. Values are
+    not coerced: a bbox value or score that is a string or a boolean is
+    malformed, and so is an id that is not a JSON integer or lies outside
+    the int64 range."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -312,77 +309,70 @@ def ingest_coco_results(path: str) -> Detections:
             raise ParseError(f"not UTF-8 text: {exc}") from None
     if not isinstance(raw, list):
         raise ParseError("top-level value must be a JSON array")
-    return _columns(raw)
+    dets = _columns(raw)
+    if dets is None:
+        i, message = next((i, m) for i, m in enumerate(map(_entry_error, raw)) if m)
+        raise ParseError(message, index=i)
+    return dets
 
 
-def _float_error(bbox, score) -> str | None:
-    """The message of the first bbox value or score that float() rejects."""
+def _columns(raw: list) -> Detections | None:
+    """The entries of raw as columns, or None if any entry is malformed: the
+    whole-column tests run in no particular order and name no entry."""
     try:
-        tuple(map(float, bbox)), float(score)
-    except (TypeError, OverflowError) as exc:
-        return f"non-numeric field: {exc}"
-
-
-def _columns(raw: list) -> Detections:
-    """The entries of raw as columns, or the ParseError of its first
-    malformed entry. The checks run in the order of one entry's checks, each
-    a whole-column test; only a failed one looks for the entry to report."""
-
-    def reject(flags, message) -> NoReturn:
-        """Raise message(i) for the first entry i that flags marks, unless an
-        entry before it fails a later check (at most ten checks deep)."""
-        i = next(i for i, bad in enumerate(flags) if bad)
-        if i:
-            _columns(raw[:i])
-        raise ParseError(message(i), index=i) from None
-
-    if not set(map(type, raw)) <= {dict}:
-        reject((type(e) is not dict for e in raw), lambda i: "entry is not an object")
-    try:
+        if not set(map(type, raw)) <= {dict}:
+            return None
         image_ids = [e["image_id"] for e in raw]
         category_ids = [e["category_id"] for e in raw]
         bboxes = [e["bbox"] for e in raw]
         scores = [e["score"] for e in raw]
-    except KeyError:
-        missing = [next((k for k in _KEYS if k not in e), None) for e in raw]
-        reject(missing, lambda i: f"missing key {missing[i]!r}")
-    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
-        reject((type(b) is not list or len(b) != 4 for b in bboxes),
-               lambda i: f"bbox must be a 4-element array, got {bboxes[i]!r}")
-    values = list(chain.from_iterable(bboxes))
-    value_types = set(map(type, values)).union(map(type, scores))
-    if not _NOT_NUMBERS.isdisjoint(value_types):
-        reject((not _NOT_NUMBERS.isdisjoint(map(type, [s, *b])) for b, s in zip(bboxes, scores)),
-               lambda i: f"non-numeric field: bbox values and score must be JSON numbers, "
-                         f"got bbox={bboxes[i]!r}, score={scores[i]!r}")
-    if not set(map(type, image_ids)).union(map(type, category_ids)) <= {int}:
-        reject((type(a) is not int or type(c) is not int for a, c in zip(image_ids, category_ids)),
-               lambda i: f"id is not a JSON integer (numeric values are not coerced): "
-                         f"image_id={image_ids[i]!r}, category_id={category_ids[i]!r}")
-    try:
-        if not value_types <= {int, float}:  # np.array would read None as NaN
-            raise TypeError
+        if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
+            return None
+        values = list(chain.from_iterable(bboxes))
+        # exact types: no str or bool, and np.array would read None as NaN
+        if not (set(map(type, values)).union(map(type, scores)) <= {int, float}
+                and set(map(type, image_ids)).union(map(type, category_ids)) <= {int}):
+            return None
         bbox = np.array(values, dtype=np.float64).reshape(-1, 4)
         score = np.array(scores, dtype=np.float64)
-    except (TypeError, OverflowError):  # OverflowError: an integer too large for a float
-        reject(map(_float_error, bboxes, scores), lambda i: _float_error(bboxes[i], scores[i]))
-    finite = np.isfinite(bbox)
-    if not finite.all():
-        reject(~finite.all(axis=1), lambda i: f"non-finite bbox value in {tuple(bbox[i].tolist())}")
-    nonneg = bbox[:, 2:] >= 0.0
-    if not nonneg.all():
-        reject(~nonneg.all(axis=1), lambda i: f"negative box extent in {tuple(bbox[i].tolist())}")
-    score_ok = (score >= 0.0) & (score <= 1.0)
-    if not score_ok.all():
-        reject(~score_ok, lambda i: f"score {score[i].tolist()} outside [0, 1]")
-    try:
+        if not (np.isfinite(bbox).all() and (bbox[:, 2:] >= 0.0).all()
+                and (score >= 0.0).all() and (score <= 1.0).all()):
+            return None
         image_id = np.array(image_ids, dtype=np.int64)
         category_id = np.array(category_ids, dtype=np.int64)
-    except OverflowError:
-        reject((a not in _INT64 or c not in _INT64 for a, c in zip(image_ids, category_ids)),
-               lambda i: f"id outside the int64 range: "
-                         f"image_id={image_ids[i]}, category_id={category_ids[i]}")
+    except (KeyError, OverflowError):  # OverflowError: an integer beyond float64 or int64
+        return None
     return Detections(image_id=image_id, category_id=category_id, bbox=bbox, score=score)
+
+
+def _entry_error(entry) -> str | None:
+    """Why entry is malformed, by the first check it fails, or None."""
+    if type(entry) is not dict:
+        return "entry is not an object"
+    missing = next((k for k in _KEYS if k not in entry), None)
+    if missing:
+        return f"missing key {missing!r}"
+    image_id, category_id, bbox, score = (entry[k] for k in _KEYS)
+    if type(bbox) is not list or len(bbox) != 4:
+        return f"bbox must be a 4-element array, got {bbox!r}"
+    if {str, bool} & set(map(type, [*bbox, score])):  # float() takes these
+        return (f"non-numeric field: bbox values and score must be JSON numbers, "
+                f"got bbox={bbox!r}, score={score!r}")
+    if type(image_id) is not int or type(category_id) is not int:
+        return (f"id is not a JSON integer (numeric values are not coerced): "
+                f"image_id={image_id!r}, category_id={category_id!r}")
+    try:
+        bbox, score = tuple(map(float, bbox)), float(score)
+    except (TypeError, OverflowError) as exc:
+        return f"non-numeric field: {exc}"
+    if not all(map(math.isfinite, bbox)):
+        return f"non-finite bbox value in {bbox}"
+    if bbox[2] < 0.0 or bbox[3] < 0.0:
+        return f"negative box extent in {bbox}"
+    if not 0.0 <= score <= 1.0:
+        return f"score {score} outside [0, 1]"
+    if image_id not in _INT64 or category_id not in _INT64:
+        return f"id outside the int64 range: image_id={image_id}, category_id={category_id}"
 
 
 @dataclass

@@ -53,6 +53,8 @@ def _backward(e, b, up, p, params=None, **fields):
 
 _TOO_LARGE = _valid_entries(3)
 _TOO_LARGE[2]["bbox"][1] = 2**1100
+_NEGATIVE_H = _valid_entries(3)
+_NEGATIVE_H[1]["bbox"][3] = -1
 _PATCH, _WIDE, _THIN = (2, 4, 4), (2, 4, 5), (1, 4, 4)
 
 _REJECTED = [
@@ -91,6 +93,15 @@ _REJECTED = [
      _whole("C must be a positive integer, got True")),
     *[(f"CCTMParams.random-{c}", lambda c=c: CCTMParams.random(c, make_rng(0)), DimensionError,
        _whole(f"C must be a positive integer, got {c!r}")) for c in (0, -1, True)],
+    # beyond numpy's largest C x C float64 array, beyond every numpy integer,
+    # and beyond float64
+    *[(f"CCTMParams.random-{name}", lambda c=c: CCTMParams.random(c, make_rng(0)),
+       DimensionError, _whole(f"C must be at most 1073741823 for a C x C float64 array, got {c}"))
+      for name, c in [("2**40", 2**40), ("2**64", 2**64), ("10**400", 10**400)]],
+    # 2BCL + 5C^2 + 9C coordinates at B = L = 1
+    ("gradient_check-C-2**64", lambda: gradient_check(0, (1, 2**64, 1)), DimensionError,
+     _whole(f"a gradient check at B,C,L = 1,{2**64},1 perturbs {5 * 2**128 + 11 * 2**64} "
+            "coordinates, more than the bound of 16384")),
     ("validate-mlp_e_w2-(3, 2)", lambda: _params(3, 50, mlp_e_w2=np.zeros((3, 2))).validate(),
      DimensionError, _whole("mlp_e_w2 must be (3, 3), got (3, 2)")),
     ("validate-grn_eps-0.0", lambda: _params(3, 51, grn_eps=0.0).validate(), DomainError,
@@ -150,6 +161,8 @@ _REJECTED = [
      DimensionError, _whole("H_o must be a positive integer, got -1")),
     ("ingest-y-2**1100", json.dumps(_TOO_LARGE).encode(), ParseError,
      "^entry 2: non-numeric field: int too large to convert"),
+    ("ingest-negative-h", json.dumps(_NEGATIVE_H).encode(), ParseError,
+     _whole("entry 1: negative box extent in (1.0, 0.5, 2.25, -1.0)")),
     ("ingest-nested-too-deeply", b"[" * 100_000 + b"]" * 100_000, ParseError,
      _whole("JSON nested too deeply")),
     ("ingest-empty", b"", ParseError, "^not valid JSON: "),

@@ -66,12 +66,14 @@ _REJECTED = [
      "L must be a positive integer, got 0"),
     ("cctm-check-shape-0,3,5", ["cctm-check", "--shape", "0,3,5"],
      "B must be a positive integer, got 0"),
-    # beyond every numpy integer, so np.sqrt(C) cannot take it, and, at 401
-    # digits, beyond float64, so math.sqrt(C) cannot either
+    ("cctm-check-shape-1,3", ["cctm-check", "--shape", "1,3"],
+     "expected three extents B,C,L, got (1, 3)"),
+    # beyond every numpy integer and, at 401 digits, beyond float64: the bound
+    # on the coordinates is counted in Python integers, so it names both
     ("cctm-check-channels-2**64", ["cctm-check", "--shape", f"1,{2**64},1"],
-     "Maximum allowed dimension exceeded"),
+     "more than the bound of 16384"),
     ("cctm-check-channels-10**400", ["cctm-check", "--shape", f"1,{10**400},1"],
-     "Maximum allowed dimension exceeded"),
+     "more than the bound of 16384"),
     # a C x C weight and [n, 2] box sides: the first array of each is over
     # 2**48 bytes, beyond any x86-64 user address space, so the allocation is
     # refused whatever the host's overcommit policy; cctm-check meets its
@@ -293,7 +295,7 @@ def test_negative_seed_is_rejected_naming_the_flag(capsys, monkeypatch, command)
     monkeypatch.setattr(cli.fusion, "gradient_check", no_work)
     monkeypatch.setattr(cli.harness, "synth_dataset", no_work)
     assert_rejected(*run(capsys, *command, "--seed", "-1"),
-                    "--seed: expected a non-negative integer, got '-1'")
+                    "sodkit: --seed: seed must be a non-negative integer, got -1")
 
 
 @pytest.mark.parametrize("command", [
