@@ -165,40 +165,38 @@ def _decode_sides(t):
 class _ToyModel:
     """Two-layer perceptron with a class-probability head and a box head that
     predicts extents on the log side scale. Samples lie on the last axis of
-    every array, and the two heads are one [3, HIDDEN_DIM] weight: row 0
-    gives the class logit, rows 1-2 the logits of the extents h and w."""
+    every array, and the two heads are one weight: row 0 gives the class
+    logit, rows 1-2 the logits of the extents h and w. Each layer's weight
+    holds its bias as its last column, which meets a row of ones in the input."""
 
     def __init__(self, rng: np.random.Generator):
-        self.w1 = rng.uniform(-1, 1, (HIDDEN_DIM, FEATURE_DIM)) / math.sqrt(FEATURE_DIM)
-        self.b1 = np.zeros((HIDDEN_DIM, 1))
+        w1 = rng.uniform(-1, 1, (HIDDEN_DIM, FEATURE_DIM)) / math.sqrt(FEATURE_DIM)
         w2 = rng.uniform(-1, 1, HIDDEN_DIM) / math.sqrt(HIDDEN_DIM)
         wb = rng.uniform(-1, 1, (2, HIDDEN_DIM)) / math.sqrt(HIDDEN_DIM)
-        self.w_head = np.vstack((w2, wb))
-        self.b_head = np.zeros((3, 1))
+        self.w1 = np.hstack((w1, np.zeros((HIDDEN_DIM, 1))))
+        self.w_head = np.hstack((np.vstack((w2, wb)), np.zeros((3, 1))))
 
     def forward(self, x, hidden, out):
-        """The heads' outputs for x, [FEATURE_DIM, n], written into out,
+        """The heads' outputs for x, [FEATURE_DIM + 1, n], written into out,
         [3, n]: class probabilities in row 0 and log-scale extents in (0, 1)
         in rows 1-2. The hidden layer is written into hidden, a
-        [HIDDEN_DIM, n] buffer."""
-        np.matmul(self.w1, x, out=hidden)
-        hidden += self.b1
-        np.tanh(hidden, out=hidden)
+        [HIDDEN_DIM + 1, n] buffer, above its last row; x's and hidden's last rows hold ones."""
+        h = hidden[:HIDDEN_DIM]
+        np.tanh(np.matmul(self.w1, x, out=h), out=h)
         np.matmul(self.w_head, hidden, out=out)
-        out += self.b_head
         return _sigmoid_into(out, out)
 
     def step(self, x, hidden, d_logits, lr, d_pre):
         """One gradient step from d_logits, [3, n], the loss gradient with
         respect to the heads' logits. d_pre is a [HIDDEN_DIM, n] buffer the
-        step overwrites; hidden is used up: it is left holding 1 - hidden^2."""
-        np.matmul(self.w_head.T, d_logits, out=d_pre)
+        step overwrites; hidden is used up: all but its row of ones is left
+        holding 1 - hidden^2."""
+        h = hidden[:HIDDEN_DIM]
+        np.matmul(self.w_head[:, :HIDDEN_DIM].T, d_logits, out=d_pre)
         self.w_head -= lr * _sample_sum_product(d_logits, hidden)
-        self.b_head -= lr * d_logits.sum(axis=1, keepdims=True)
-        np.multiply(hidden, hidden, out=hidden)
-        d_pre *= np.subtract(1.0, hidden, out=hidden)
+        np.multiply(h, h, out=h)
+        d_pre *= np.subtract(1.0, h, out=h)
         self.w1 -= lr * _sample_sum_product(d_pre, x)
-        self.b1 -= lr * d_pre.sum(axis=1, keepdims=True)
 
 
 def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
@@ -211,8 +209,10 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
     n = len(data)
     if n != cfg.n:
         raise DomainError(f"dataset has {n} samples, but the config says n={cfg.n}")
-    x = _empty((FEATURE_DIM, n))
-    np.copyto(x, data.features.T)
+    # the features over a row of ones; not pooled, which would keep its
+    # buffer after the run, and peak RSS would rise by as much
+    x = np.ones((FEATURE_DIM + 1, n))
+    np.copyto(x[:FEATURE_DIM], data.features.T)
     gt = data.sides
     pos = data.y == 1
     n_pos = max(1, int(pos.sum()))
@@ -229,8 +229,9 @@ def train_toy(data: SynthData, cfg: RunConfig) -> TrainMetrics:
 
     model = _ToyModel(make_rng(cfg.seed))
     # the epoch's arrays, made once: hidden is written by each forward and
-    # used up by the step after it
-    hidden, d_pre = _empty((HIDDEN_DIM, n)), _empty((HIDDEN_DIM, n))
+    # used up by the step after it, all but its row of ones
+    hidden, d_pre = _empty((HIDDEN_DIM + 1, n)), _empty((HIDDEN_DIM, n))
+    hidden[HIDDEN_DIM] = 1.0
     heads, d_logits = np.empty((3, n)), np.empty((3, n))
     d_heads = np.zeros((3, n))  # loss gradient per head output; negatives' box rows stay 0
 

@@ -1,8 +1,11 @@
 """Dense-tensor primitives: float64 arrays, elementary nonlinearities, a
 sample reduction in a fixed order and a deterministic RNG.
 
-All operations are pure and keep finite inputs finite. Tensors are plain
-numpy arrays in row-major order; every function promotes to float64.
+All operations are pure. They keep finite inputs finite up to about
+sqrt(DBL_MAX) = 1.3e154; above it a sum of squares overflows, so a CCTM
+forward returns non-finite values, and gelu_grad warns of overflow in x * x
+(ROADMAP item 15). Tensors are plain numpy arrays in row-major order; every
+function promotes to float64.
 
 scipy supplies the exact erf of the GELU. The first GELU evaluated (gelu,
 gelu_grad or a CCTM forward) loads it, once; importing this module does not,
@@ -38,13 +41,13 @@ _CACHE_LINE = 64
 
 
 def tensor(data) -> np.ndarray:
-    """Coerce to a C-contiguous (row-major) float64 array; reject a ragged or complex input."""
+    """Coerce to a C-contiguous (row-major) float64 array; reject ragged, complex or text input."""
     if getattr(data, "dtype", None) != np.float64:
         try:
             data = np.asarray(data)
         except ValueError as exc:
             raise DimensionError(f"not a rectangular array: {exc}") from None
-        if data.dtype.kind == "c":
+        if data.dtype.kind in "cUS":
             raise DomainError(f"expected real values, got a {data.dtype} array")
     return np.asarray(data, dtype=np.float64, order="C")
 

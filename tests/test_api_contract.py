@@ -19,8 +19,8 @@ import pytest
 from sodkit import (
     BoostConfig, CCTMParams, DimensionError, DomainError, FixedSizeMlpWeights, ParseError,
     RunConfig, TilingError, boost_loss, cctm_backward, cctm_forward, clap_apply, cross_gate,
-    fixed_size_mlp, grn, ingest_coco_results, make_rng, plan_grid, positive_weight, reassemble,
-    score_stats, size_factor, split, synth_dataset, tensor, train_toy,
+    fixed_size_mlp, gelu, grn, ingest_coco_results, make_rng, plan_grid, positive_weight,
+    reassemble, score_stats, size_factor, split, synth_dataset, tensor, train_toy,
 )
 from sodkit.fusion import gradient_check
 
@@ -181,6 +181,11 @@ _REJECTED = [
      "^not a rectangular array: setting an array element with a sequence"),
     ("tensor-complex", lambda: tensor(np.array([1.0, 2j])), DomainError,
      _whole("expected real values, got a complex128 array")),
+    ("tensor-str", lambda: tensor("1.5"), DomainError,
+     _whole("expected real values, got a <U3 array")),
+    ("tensor-bytes", lambda: tensor(b"1"), DomainError,
+     _whole("expected real values, got a |S1 array")),
+    ("gelu-str", lambda: gelu("x"), DomainError, _whole("expected real values, got a <U1 array")),
     # tiling
     ("plan_grid-degenerate", lambda: plan_grid(6, 1, 4, 1), TilingError,
      _whole("degenerate tiling: extent 6 with patch 4 gives overlap 4 >= patch width")),

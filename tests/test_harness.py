@@ -28,6 +28,7 @@ from sodkit.harness import (
     synth_dataset,
     train_toy,
 )
+from sodkit.numeric import sigmoid
 from sodkit.tiling import clap_apply
 
 from rejection import assert_rejected, whole
@@ -215,12 +216,20 @@ def test_cls_loss_and_grad_matches_reference_bit_for_bit(rows, loss, alpha, beta
         assert np.array_equal(_bits(g), _bits(w))
 
 
+def _model_inputs(data: SynthData):
+    """The toy model's input, the features [FEATURE_DIM, n] with a row of
+    ones below, and a [HIDDEN_DIM + 1, n] hidden buffer whose last row holds
+    ones, as train_toy makes them."""
+    n = len(data)
+    return np.vstack((data.features.T, np.ones(n))), np.ones((harness.HIDDEN_DIM + 1, n))
+
+
 def model_box_samples(data: SynthData, cfg: RunConfig) -> list[BoxSample]:
     """Box samples from the freshly initialized toy model, for checking the
     trainer's loss against the scalar loss API."""
     model = harness._ToyModel(make_rng(cfg.seed))
     n = len(data)
-    heads = model.forward(data.features.T, np.empty((harness.HIDDEN_DIM, n)), np.empty((3, n)))
+    heads = model.forward(*_model_inputs(data), np.empty((3, n)))
     p, sides = heads[0], harness._decode_sides(heads[1:].T)
     return [
         BoxSample(H=IMAGE_SIDE, W=IMAGE_SIDE, h=h, w=w, y=yi, p=float(p[i]),
@@ -304,6 +313,84 @@ def test_train_metrics_match_per_sample_loop(monkeypatch, loss, beta, seed, n, n
     assert _same(got.bucket_mean_weight, mean_w)
     if negatives_only:
         assert all(math.isnan(v) for v in got.bucket_recall.values())
+
+
+def _weights_and_heads(monkeypatch, data, cfg):
+    """Run train_toy and return, for each step, the weights (w1, w_head)
+    before and after it, and the last forward's weights and outputs."""
+    steps, last = [], {}
+    step, forward = harness._ToyModel.step, harness._ToyModel.forward
+
+    def step_spy(self, *args):
+        before = self.w1.copy(), self.w_head.copy()
+        step(self, *args)
+        steps.append((before, (self.w1.copy(), self.w_head.copy())))
+
+    def forward_spy(self, x, hidden, out):
+        heads = forward(self, x, hidden, out)
+        last["weights"], last["heads"] = (self.w1.copy(), self.w_head.copy()), heads.copy()
+        return heads
+
+    monkeypatch.setattr(harness._ToyModel, "step", step_spy)
+    monkeypatch.setattr(harness._ToyModel, "forward", forward_spy)
+    train_toy(data, cfg)
+    return steps, last["weights"], last["heads"]
+
+
+@pytest.mark.parametrize("loss", ["focal", "boost"])
+def test_train_step_descends_the_epoch_loss(monkeypatch, loss):
+    # one step moves every weight entry, bias columns included, by lr times
+    # the central difference of the loss train_toy evaluates; the boost
+    # loss's gradient treats the predicted size factors as constants, so
+    # they are held at the step's start
+    n, lr = 50, 0.5
+    data = synth_dataset(3, n)
+    cfg = RunConfig(loss=loss, beta=0.05, epochs=1, lr=lr, seed=3, n=n)
+    [(before, after)], _, _ = _weights_and_heads(monkeypatch, data, cfg)
+
+    pos = data.y == 1
+    n_pos = max(1, int(pos.sum()))
+    loss_cfg = BoostConfig(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, N=n_pos)
+    cs_beta = (np.sqrt(data.sides[:, 0] * data.sides[:, 1]) / IMAGE_SIDE * pos) ** cfg.beta
+    gt_t = harness._encode_sides(data.sides[pos]).T
+    model, inputs = harness._ToyModel(make_rng(0)), _model_inputs(data)
+
+    def heads_at(weights):
+        model.w1, model.w_head = weights
+        return model.forward(*inputs, np.empty((3, n)))
+
+    cs_hat = None
+    if loss == "boost":
+        sides = harness._decode_sides(heads_at(before)[1:])
+        cs_hat = np.sqrt(sides[0] * sides[1]) / IMAGE_SIDE
+
+    def epoch_loss(weights):
+        heads = heads_at(weights)
+        cls = _cls_loss_and_grad(heads[0], pos, cs_hat, cs_beta, loss_cfg)[0]
+        return cls + float(((heads[1:, pos] - gt_t) ** 2).sum()) / n_pos
+
+    h = 1e-5
+    for k, (w_before, w_after) in enumerate(zip(before, after)):
+        grad, fd = (w_before - w_after) / lr, np.empty_like(w_before)
+        for idx in np.ndindex(fd.shape):
+            up, down = [w.copy() for w in before], [w.copy() for w in before]
+            up[k][idx] += h
+            down[k][idx] -= h
+            fd[idx] = (epoch_loss(up) - epoch_loss(down)) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+def test_forward_matches_separate_biases(monkeypatch):
+    # after a few steps every bias is non-zero, so the ones rows of the input
+    # and the hidden buffer must each meet their bias column
+    data = synth_dataset(8, 300)
+    cfg = RunConfig(loss="boost", beta=0.05, epochs=4, seed=8, n=300)
+    _, (w1, w_head), heads = _weights_and_heads(monkeypatch, data, cfg)
+    f, h = harness.FEATURE_DIM, harness.HIDDEN_DIM
+    b1, b_head = w1[:, f:], w_head[:, h:]
+    assert np.all(b1 != 0) and np.all(b_head != 0)
+    want = sigmoid(w_head[:, :h] @ np.tanh(w1[:, :f] @ data.features.T + b1) + b_head)
+    np.testing.assert_allclose(heads, want, rtol=1e-13, atol=0)
 
 
 # at n = 2100 the trainer's arrays are pooled, so the second run takes the
