@@ -248,7 +248,11 @@ def weight_table(
     among the betas, each relative distance also carries its amplification
     ratio over the beta = 1.0 column.
     """
-    BoostConfig(gamma=gamma)  # the loss's domain checks, gamma's when betas is empty
+    if not object_sizes:
+        raise DomainError("empty size list")
+    if not betas:
+        raise DomainError("empty beta list")
+    BoostConfig(gamma=gamma)  # gamma's domain check comes before any beta's
     # (1 - cs_hat^beta)^gamma is the positive weight at alpha = 1 and cs^beta = 1
     cfgs = [BoostConfig(alpha=1.0, beta=b, gamma=gamma) for b in betas]
     table = WeightTable(gamma=gamma, betas=list(betas), sizes=[tuple(s) for s in object_sizes])

@@ -20,7 +20,7 @@ from sodkit import (
     BoostConfig, CCTMParams, DimensionError, DomainError, FixedSizeMlpWeights, ParseError,
     RunConfig, TilingError, boost_loss, cctm_backward, cctm_forward, clap_apply, cross_gate,
     fixed_size_mlp, gelu, grn, ingest_coco_results, make_rng, plan_grid, positive_weight,
-    reassemble, score_stats, size_factor, split, synth_dataset, tensor, train_toy,
+    reassemble, score_stats, size_factor, split, synth_dataset, tensor, train_toy, weight_table,
 )
 from sodkit.fusion import gradient_check
 
@@ -73,6 +73,10 @@ _REJECTED = [
      _whole("size factors must lie in [0, 1], got 1.5, 0.5")),
     ("boost_loss-empty", lambda: boost_loss([], BoostConfig(N=1)), DomainError,
      _whole("empty sample list")),
+    ("weight_table-no-sizes", lambda: weight_table([], 1024, 1024, 0.25, [1.0]), DomainError,
+     _whole("empty size list")),
+    ("weight_table-no-betas", lambda: weight_table([(2, 2), (8, 8)], 1024, 1024, 0.25, []),
+     DomainError, _whole("empty beta list")),
     # fusion
     ("cctm_backward-stale-upstream",
      lambda: _backward(e := _normal(28, (1, 2, 3)), e, np.zeros((1, 2, 4)), _params(2, 27)),
@@ -186,6 +190,16 @@ _REJECTED = [
     ("tensor-bytes", lambda: tensor(b"1"), DomainError,
      _whole("expected real values, got a |S1 array")),
     ("gelu-str", lambda: gelu("x"), DomainError, _whole("expected real values, got a <U1 array")),
+    ("tensor-None", lambda: tensor([None, 1.0]), DomainError,
+     _whole("expected real values, got an object array")),
+    ("gelu-None", lambda: gelu(None), DomainError,
+     _whole("expected real values, got an object array")),
+    ("tensor-object", lambda: tensor(np.array([0.5, 1.5], dtype=object)), DomainError,
+     _whole("expected real values, got an object array")),
+    ("tensor-datetime", lambda: tensor(np.array(["2020-01-01"], dtype="datetime64[D]")),
+     DomainError, _whole("expected real values, got a datetime64[D] array")),
+    ("tensor-structured", lambda: tensor(np.zeros(2, dtype=[("a", "f8")])), DomainError,
+     _whole("expected real values, got a [('a', '<f8')] array")),
     # tiling
     ("plan_grid-degenerate", lambda: plan_grid(6, 1, 4, 1), TilingError,
      _whole("degenerate tiling: extent 6 with patch 4 gives overlap 4 >= patch width")),

@@ -129,6 +129,25 @@ def test_gelu_is_its_input_times_its_cdf_bit_for_bit():
     assert np.count_nonzero(np.abs(x) < np.finfo(np.float64).tiny) > 100
 
 
+def test_erf_is_odd_bit_for_bit_and_its_nans_are_sign_clear():
+    # _gelu_chain takes erf(|a|) and restores a's sign by a multiply, which
+    # gives erf(a) only if erf(-v) is -erf(v) and erf keeps no NaN's sign;
+    # 1 and 8 are where scipy's erf switches between its erf and erfc forms
+    patterns = make_rng(7).integers(0, 2**64, size=300_000, dtype=np.uint64, endpoint=False)
+    patterns = patterns.view(np.float64)
+    splits = [1.0, 8.0]
+    subnormals = [5e-324, 1.5e-323, 1e-310, 2.225073858507201e-308]
+    v = np.concatenate([patterns[~np.isnan(patterns)], [0.0, math.inf], subnormals, splits,
+                        np.nextafter(splits, 0.0), np.nextafter(splits, math.inf)])
+    odd = _bits(erf(-v)) == _bits(-erf(v))
+    assert odd.all(), (
+        f"erf(-v) is not -erf(v) at v = {v[~odd][:5]}: _gelu_chain's premise, that erf "
+        "of |x / sqrt(2)| with the sign restored by a multiply is erf(x / sqrt(2)), fails")
+    nans = erf(np.concatenate([[math.nan, -math.nan], patterns[np.isnan(patterns)]]))
+    assert np.isnan(nans).all() and not np.signbit(nans).any(), (
+        "erf of a NaN has its sign bit set: _gelu_chain's NaN signs differ from the formula's")
+
+
 def _in_thread(f, timeout=60):
     """f() in a new thread, joined with a timeout so that a hang fails: its
     result, or its exception raised here."""
