@@ -256,7 +256,10 @@ def weight_table(
     # (1 - cs_hat^beta)^gamma is the positive weight at alpha = 1 and cs^beta = 1
     cfgs = [BoostConfig(alpha=1.0, beta=b, gamma=gamma) for b in betas]
     table = WeightTable(gamma=gamma, betas=list(betas), sizes=[tuple(s) for s in object_sizes])
-    for h, w in table.sizes:
+    for size in table.sizes:
+        if len(size) != 2:
+            raise DomainError(f"object sizes must be (h, w) pairs, got {size}")
+        h, w = size
         cs = round4(size_factor(h, w, H, W))
         table.cs_hats.append(cs)
         table.weights.append([round4(_positive_weight(cs, 1.0, c)) for c in cfgs])

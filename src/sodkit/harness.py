@@ -85,8 +85,8 @@ class RunConfig:
         self.epochs = _whole("epochs", self.epochs, 0)  # train_toy's range() takes an int
         if not self.lr > 0:
             raise DomainError(f"learning rate must be positive, got {self.lr}")
-        _whole("n", self.n, 1)
-        _whole("seed", self.seed, 0)
+        self.n = _whole("n", self.n, 1)
+        self.seed = _whole("seed", self.seed, 0)
         BoostConfig(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
 
@@ -404,7 +404,10 @@ def score_stats(
     score >= threshold; size is sqrt(w * h) of the box."""
     if not 0.0 <= threshold <= 1.0:
         raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
-    edges = tuple(float(e) for e in bucket_edges)
+    try:
+        edges = tuple(map(float, bucket_edges))
+    except (TypeError, ValueError):
+        raise DomainError(f"bucket edges must be numbers, got {bucket_edges!r}") from None
     if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise DomainError(f"bucket edges must be strictly increasing, got {edges}")
     if not all(map(math.isfinite, edges)):
@@ -451,11 +454,16 @@ class FixedSizeMlpWeights:
 
 def fixed_size_mlp(x, weights: FixedSizeMlpWeights) -> np.ndarray:
     """Linear row MLP along width then column MLP along height; raises unless
-    the spatial extents equal the weight extents. This rigidity is exactly
-    what the adaptive tiling wrapper removes."""
+    each weight and bias has the shape that w_row's and w_col's first extents
+    W_o and H_o give it, and the spatial extents equal them. This rigidity is
+    exactly what the adaptive tiling wrapper removes."""
     x = tensor(x)
-    w_o = weights.w_row.shape[0]
-    h_o = weights.w_col.shape[0]
+    w_o, h_o = (len(w) if np.ndim(w) else 0 for w in (weights.w_row, weights.w_col))
+    for name, shape in (("w_row", (w_o, w_o)), ("b_row", (w_o,)),
+                        ("w_col", (h_o, h_o)), ("b_col", (h_o,))):
+        got = np.shape(getattr(weights, name))
+        if got != shape:
+            raise DimensionError(f"{name} must have shape {shape}, got {got}")
     if x.ndim != 3 or x.shape[1] != h_o or x.shape[2] != w_o:
         raise DimensionError(
             f"fixed-size operator expects [C, {h_o}, {w_o}] input, got shape {x.shape}"

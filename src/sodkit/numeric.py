@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 import sys
@@ -163,7 +162,7 @@ def _sample_sum_product(a, b) -> np.ndarray:
 # sys.modules under this name
 _ERF_MODULE = "scipy.special._special_ufuncs"
 _erf = None
-# held while either first-use load runs: the erf's and the helper threads'
+# held while the erf's first-use load runs
 _LOAD_LOCK = threading.Lock()
 
 
@@ -203,12 +202,24 @@ def _load_special_extension(name: str):
     return module
 
 
+def _after_fork_in_child() -> None:
+    """A forked child has none of its parent's other threads, so a lock that
+    one of them held at the fork would stay held: make the locks anew."""
+    global _LOAD_LOCK
+    _LOAD_LOCK = threading.Lock()
+    _POOL.lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 # The elementwise maps below run as in-place chains into _empty buffers.
 # Every ufunc gets an explicit out=, so a 0-d input stays an array, and the
 # results (NaN signs included) are those of the one-line formula in the
-# docstring; every chain but _gelu_chain keeps that formula's operand order.
+# docstring; every chain but the GELU's keeps that formula's operand order.
 #
-# _gelu_chain runs erf once, on |a| for a = x / sqrt(2), and restores the sign
+# The GELU runs erf once, on |a| for a = x / sqrt(2), and restores the sign
 # and the CDF's half with one multiply: cdf = 0.5 + copysign(0.5, a) * erf(|a|),
 # then gelu = x * cdf. scipy's erf evaluates a negative a as -erf(-a) behind a
 # branch that mixed signs mispredict: on x86-64 its erf of standard-normal
@@ -222,96 +233,19 @@ def _load_special_extension(name: str):
 # Never pass where= to erf: with scipy 1.17.1, erf(v, out=v, where=mask)
 # corrupts the heap, and the interpreter aborts.
 
-def _gelu_chain(erf, x, g, cdf) -> None:
+def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
+    0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array."""
+    # loaded at the first GELU, not with this module, so that what never
+    # evaluates one starts without scipy; then read without taking the lock
+    erf = _erf or _load_erf()
+    cdf, g = _empty(x.shape), _empty(x.shape)
     a = np.divide(x, np.sqrt(2.0), out=cdf)
     np.copysign(0.5, a, out=g)  # the sign waits in g until g is written
     erf(np.abs(a, out=cdf), out=cdf)
     np.multiply(g, cdf, out=cdf)
     np.add(0.5, cdf, out=cdf)
     np.multiply(x, cdf, out=g)
-
-
-# A GELU of at least _POOL_MIN_BYTES is shared: its caller and one daemon
-# helper per further CPU the process may use claim _CHUNK-element chunks one
-# at a time, so a busy helper delays the caller by one chunk at most (guided
-# self-scheduling, Polychronopoulos and Kuck, IEEE TC 1987).
-_CHUNK = 1 << 14
-_helpers = None  # their queue and threads, made at the first shared GELU
-
-
-def _after_fork_in_child() -> None:
-    """A forked child has none of its parent's other threads, so a lock that
-    one of them held at the fork would stay held: make the locks anew, and let
-    the child start helpers of its own."""
-    global _LOAD_LOCK, _helpers
-    _LOAD_LOCK, _helpers = threading.Lock(), None
-    _POOL.lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
-def _help(jobs) -> None:
-    for errstate, work in iter(jobs.get, None):
-        with np.errstate(**errstate):
-            work()
-
-
-def _shared_gelu_chain(erf, *arrays) -> bool:
-    """_gelu_chain over flat x, g and cdf, shared with the helpers (False if
-    there are none). The caller waits only for chunks a helper has claimed,
-    then raises the first error that a chunk raised."""
-    global _helpers
-    with _LOAD_LOCK:
-        if _helpers is None:
-            import queue
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            jobs = queue.SimpleQueue()
-            _helpers = jobs, [threading.Thread(target=_help, args=(jobs,), daemon=True)
-                              for _ in range(cpus - 1)]
-            for t in _helpers[1]:
-                t.start()
-    jobs, threads = _helpers
-    if not threads:
-        return False
-    chunks = -(-arrays[0].size // _CHUNK)
-    # each next() of a count is one atomic step under the GIL
-    claims, dones, finished, errors = itertools.count(), itertools.count(), threading.Lock(), []
-    finished.acquire()  # released by whoever ends the last chunk
-
-    def work():
-        while (i := next(claims)) < chunks:
-            try:
-                _gelu_chain(erf, *(a[i * _CHUNK:(i + 1) * _CHUNK] for a in arrays))
-            except BaseException as exc:
-                errors.append(exc)
-            if next(dones) == chunks - 1:
-                finished.release()
-
-    job = dict(np.geterr(), call=np.geterrcall()), work
-    for _ in threads:
-        jobs.put(job)
-    work()
-    finished.acquire()
-    # a helper may take the job from the queue later: leave it nothing to pin
-    raised, arrays, errors = errors, (), []
-    if raised:
-        raise raised[0]
-    return True
-
-
-def _gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gelu(x) = 0.5 * x * (1 + erf(x / sqrt(2))) and the normal CDF
-    0.5 * (1 + erf(x / sqrt(2))), from one erf; x is a float64 array. Every
-    step is elementwise, so a shared GELU has the bits of one pass."""
-    # loaded at the first GELU, not with this module, so that what never
-    # evaluates one starts without scipy; then read without taking the lock
-    erf = _erf or _load_erf()
-    cdf, g = _empty(x.shape), _empty(x.shape)
-    if x.size * 8 < _POOL_MIN_BYTES or not _shared_gelu_chain(
-            erf, x.reshape(-1), g.reshape(-1), cdf.reshape(-1)):
-        _gelu_chain(erf, x, g, cdf)
     return g, cdf
 
 

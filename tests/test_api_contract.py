@@ -77,6 +77,8 @@ _REJECTED = [
      _whole("empty size list")),
     ("weight_table-no-betas", lambda: weight_table([(2, 2), (8, 8)], 1024, 1024, 0.25, []),
      DomainError, _whole("empty beta list")),
+    ("weight_table-size-of-3", lambda: weight_table([(2, 2, 2)], 1024, 1024, 0.25, [1.0]),
+     DomainError, _whole("object sizes must be (h, w) pairs, got (2, 2, 2)")),
     # fusion
     ("cctm_backward-stale-upstream",
      lambda: _backward(e := _normal(28, (1, 2, 3)), e, np.zeros((1, 2, 4)), _params(2, 27)),
@@ -157,10 +159,16 @@ _REJECTED = [
       for edges, what in [((0.0, 5.0, 5.0), "strictly increasing"), ((math.nan,), "finite"),
                           ((0.0, math.nan), "finite"), ((0.0, math.inf), "finite"),
                           ((-math.inf, 0.0), "finite")]],
+    ("score_stats-edges-text", lambda: score_stats(make_dets([]), 0.5, ("a",)), DomainError,
+     _whole("bucket edges must be numbers, got ('a',)")),
     *[(f"fixed_size_mlp-{shape}",
        lambda shape=shape: fixed_size_mlp(np.zeros(shape), FixedSizeMlpWeights.identity(5, 7)),
        DimensionError, _whole(f"fixed-size operator expects [C, 5, 7] input, got shape {shape}"))
       for shape in [(1, 5, 8), (1, 6, 7)]],
+    ("fixed_size_mlp-b_row-of-3",
+     lambda: fixed_size_mlp(np.zeros((1, 4, 4)), FixedSizeMlpWeights(
+         np.eye(4), np.zeros(3), np.eye(4), np.zeros(4))),
+     DimensionError, _whole("b_row must have shape (4,), got (3,)")),
     ("FixedSizeMlpWeights.identity-H_o--1", lambda: FixedSizeMlpWeights.identity(-1, 2),
      DimensionError, _whole("H_o must be a positive integer, got -1")),
     ("ingest-y-2**1100", json.dumps(_TOO_LARGE).encode(), ParseError,
@@ -236,6 +244,9 @@ def test_a_whole_float_or_a_numpy_integer_counts_as_its_int():
                for f in ("features", "y", "sides", "bucket"))
     assert np.array_equal(make_rng(np.uint64(5)).integers(2**63, size=8),
                           make_rng(5).integers(2**63, size=8))
+    assert (train_toy(synth_dataset(3, 50.0), RunConfig(n=50.0, seed=np.int64(3), epochs=2.0))
+            .csv_lines() == train_toy(synth_dataset(3, 50), RunConfig(n=50, seed=3, epochs=2))
+            .csv_lines())
 
 
 @pytest.mark.parametrize("call,error,needle", [row[1:] for row in _REJECTED],

@@ -1,9 +1,7 @@
 import math
 import multiprocessing
 import os
-import threading
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from scipy.special import erf
 
 from sodkit import gelu, make_rng, numeric, sigmoid
 from sodkit.numeric import (
-    _CHUNK, _empty, _empty_pool, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad,
+    _empty, _empty_pool, _gelu_and_cdf, _gelu_grad_from_cdf, _sigmoid_into, gelu_grad,
     tensor,
 )
 from sodkit.errors import DomainError, EvaluationError
@@ -130,7 +128,7 @@ def test_gelu_is_its_input_times_its_cdf_bit_for_bit():
 
 
 def test_erf_is_odd_bit_for_bit_and_its_nans_are_sign_clear():
-    # _gelu_chain takes erf(|a|) and restores a's sign by a multiply, which
+    # _gelu_and_cdf takes erf(|a|) and restores a's sign by a multiply, which
     # gives erf(a) only if erf(-v) is -erf(v) and erf keeps no NaN's sign;
     # 1 and 8 are where scipy's erf switches between its erf and erfc forms
     patterns = make_rng(7).integers(0, 2**64, size=300_000, dtype=np.uint64, endpoint=False)
@@ -141,74 +139,34 @@ def test_erf_is_odd_bit_for_bit_and_its_nans_are_sign_clear():
                         np.nextafter(splits, 0.0), np.nextafter(splits, math.inf)])
     odd = _bits(erf(-v)) == _bits(-erf(v))
     assert odd.all(), (
-        f"erf(-v) is not -erf(v) at v = {v[~odd][:5]}: _gelu_chain's premise, that erf "
+        f"erf(-v) is not -erf(v) at v = {v[~odd][:5]}: _gelu_and_cdf's premise, that erf "
         "of |x / sqrt(2)| with the sign restored by a multiply is erf(x / sqrt(2)), fails")
     nans = erf(np.concatenate([[math.nan, -math.nan], patterns[np.isnan(patterns)]]))
     assert np.isnan(nans).all() and not np.signbit(nans).any(), (
-        "erf of a NaN has its sign bit set: _gelu_chain's NaN signs differ from the formula's")
+        "erf of a NaN has its sign bit set: _gelu_and_cdf's NaN signs differ from the formula's")
 
 
-def _in_thread(f, timeout=60):
-    """f() in a new thread, joined with a timeout so that a hang fails: its
-    result, or its exception raised here."""
-    out = []
-
-    def run():
-        try:
-            out.append((True, f()))
-        except BaseException as exc:
-            out.append((False, exc))
-
-    t = threading.Thread(target=run, daemon=True)
-    t.start()
-    t.join(timeout)
-    assert out, "the call did not return"
-    returned, value = out[0]
-    if not returned:
-        raise value
-    return value
+_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+             5e-324, -5e-324, 1e-310, -2.2e-308]
 
 
-def _gelu_and_cdf_ignoring_errors(x):
+# one element short of a pooled buffer, at it, one past it, and two larger
+@pytest.mark.parametrize("n", [32_767, 32_768, 32_769, 49_153, 300_000])
+def test_a_large_gelu_matches_its_formulas_bit_for_bit(n):
+    x = make_rng(n).standard_normal(n) * 4.0
+    k, middle = len(_SPECIALS), n // 2
+    x[:k] = x[middle:middle + k] = _SPECIALS
+    x[-k:] = _SPECIALS[::-1]  # the last element is a NaN
     with np.errstate(all="ignore"):
-        return _gelu_and_cdf(x)
-
-
-def _assert_shared_gelu_matches_its_formulas(x):
-    """_gelu_and_cdf(x), run in a thread, gives the bits of the one-line GELU
-    and CDF formulas, and every helper is alive after one that is shared."""
-    g, cdf = _in_thread(lambda: _gelu_and_cdf_ignoring_errors(x))
-    with np.errstate(all="ignore"):
+        g, cdf = _gelu_and_cdf(x)
         one_plus_erf = 1.0 + erf(x / np.sqrt(2.0))
         half_x = 0.5 * x
         assert np.array_equal(_bits(g), _bits(half_x * one_plus_erf))
         assert np.array_equal(_bits(cdf), _bits(0.5 * one_plus_erf))
-    if x.size < 2 * _CHUNK:
-        return
-    jobs, threads = numeric._helpers
-    assert all(t.is_alive() for t in threads)
-    if hasattr(os, "sched_getaffinity"):
-        assert len(threads) == len(os.sched_getaffinity(0)) - 1
 
 
-_CHUNK_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
-                   5e-324, -5e-324, 1e-310, -2.2e-308]
-
-
-# one element short of the sharing threshold, at it, one past it (a last
-# chunk of one element), a last chunk of one after three whole, and 19 chunks
-@pytest.mark.parametrize("n", [32_767, 32_768, 32_769, 49_153, 300_000])
-def test_shared_gelu_matches_its_formulas_bit_for_bit(n):
-    x = make_rng(n).standard_normal(n) * 4.0
-    k, chunks = len(_CHUNK_SPECIALS), -(-n // _CHUNK)
-    middle = chunks // 2 * _CHUNK + 7
-    x[:k] = x[middle:middle + k] = _CHUNK_SPECIALS
-    x[-k:] = _CHUNK_SPECIALS[::-1]  # the last element is a NaN
-    _assert_shared_gelu_matches_its_formulas(x)
-
-
-# 0.5 * -inf * (1 + erf(-inf)) is -inf * 0, invalid, in every chunk
-_ALL_MINUS_INF = np.full(40 * _CHUNK, -math.inf)
+# 0.5 * -inf * (1 + erf(-inf)) is -inf * 0, invalid
+_ALL_MINUS_INF = np.full(1 << 17, -math.inf)
 
 
 @pytest.mark.parametrize("errstate,action,raised", [
@@ -216,32 +174,33 @@ _ALL_MINUS_INF = np.full(40 * _CHUNK, -math.inf)
     ({"invalid": "raise"}, "always", FloatingPointError),
     ({}, "error", RuntimeWarning),
 ])
-def test_shared_gelu_keeps_the_callers_error_state(errstate, action, raised):
-    def call():
-        with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter(action)
-            return _gelu_and_cdf(_ALL_MINUS_INF), caught
-
-    _gelu_and_cdf_ignoring_errors(_ALL_MINUS_INF)  # the helpers are running
-    if raised is None:
-        # warnings are process-wide here, so a helper's would be caught too
-        (g, cdf), caught = _in_thread(call)
-        assert [str(w.message) for w in caught] == []
-        assert np.isnan(g).all() and np.all(cdf == 0.0)
-    else:
-        with pytest.raises(raised, match="^invalid value encountered in multiply$"):
-            _in_thread(call)
-    _assert_shared_gelu_matches_its_formulas(make_rng(8).standard_normal(3 * _CHUNK))
+def test_a_large_gelu_keeps_the_callers_error_state(errstate, action, raised):
+    with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        if raised is None:
+            g, cdf = _gelu_and_cdf(_ALL_MINUS_INF)
+            assert [str(w.message) for w in caught] == []
+            assert np.isnan(g).all() and np.all(cdf == 0.0)
+        else:
+            with pytest.raises(raised, match="^invalid value encountered in multiply$"):
+                _gelu_and_cdf(_ALL_MINUS_INF)
 
 
-def _gelu_in_a_forked_child(x, want_g, want_cdf):
-    assert numeric._helpers is None
-    g, cdf = _gelu_and_cdf(x)
-    assert np.array_equal(_bits(g), _bits(want_g))
-    assert np.array_equal(_bits(cdf), _bits(want_cdf))
-    jobs, threads = numeric._helpers
-    assert all(t.is_alive() for t in threads)
-    assert len(threads) == len(os.sched_getaffinity(0)) - 1
+def test_gelu_and_cctm_forward_start_no_thread():
+    # in a fresh interpreter, so that no earlier call has started one
+    proc = fresh_python("-c", """
+import threading
+import numpy as np
+from sodkit import gelu, make_rng
+from sodkit.fusion import CCTMParams, cctm_forward
+before = threading.active_count()
+gelu(np.zeros(1 << 17))
+rng = make_rng(0)
+cctm_forward(rng.standard_normal((2, 64, 1024)), rng.standard_normal((2, 64, 1024)),
+             CCTMParams.random(64, rng))
+print(threading.active_count() - before)
+""")
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def _exit_code_of_a_forked_child(target, *args):
@@ -254,13 +213,6 @@ def _exit_code_of_a_forked_child(target, *args):
         child.kill()
         child.join()
     return child.exitcode
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_shares_a_gelu_with_helpers_of_its_own():
-    x = make_rng(9).standard_normal(5 * _CHUNK)
-    want = _in_thread(lambda: _gelu_and_cdf(x))  # the parent's helpers are running
-    assert _exit_code_of_a_forked_child(_gelu_in_a_forked_child, x, *want) == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
@@ -292,25 +244,6 @@ def _freed_maps_kept_in_a_forked_child():
 def test_a_child_forked_while_the_pool_is_locked_keeps_freed_maps():
     with numeric._POOL.lock:  # as a thread that gives back a buffer at the fork holds it
         assert _exit_code_of_a_forked_child(_freed_maps_kept_in_a_forked_child) == 0
-
-
-def test_a_finished_shared_gelu_holds_no_reference_to_its_arrays():
-    _gelu_and_cdf(np.zeros(2 * _CHUNK))  # the helpers are running
-    # each helper waits on a stall job, so the next call's job stays queued
-    # after the call returns, until the helpers take it
-    jobs, threads = numeric._helpers
-    release = threading.Event()
-    for _ in threads:
-        jobs.put(({}, release.wait))
-    try:
-        owner = make_rng(10).standard_normal(3 * _CHUNK)
-        ref = weakref.ref(owner)
-        g, cdf = _in_thread(lambda: _gelu_and_cdf(owner))
-        del owner
-        assert ref() is None
-    finally:
-        release.set()
-    _assert_shared_gelu_matches_its_formulas(make_rng(10).standard_normal(3 * _CHUNK))
 
 
 @pytest.mark.parametrize("v", [0.0, -0.0, 0.7, -2.5, math.inf, -math.inf, math.nan, -math.nan])
