@@ -11,8 +11,12 @@ the configured seed.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -297,7 +301,58 @@ def ingest_coco_results(path: str) -> Detections:
     ParseError carrying the index of the first malformed entry. Values are
     not coerced: a bbox value or score that is a string or a boolean is
     malformed, and so is an id that is not a JSON integer or lies outside
-    the int64 range."""
+    the int64 range. A path that is not a str, bytes or os.PathLike raises
+    DomainError; an int is not taken as a file descriptor.
+
+    The cyclic garbage collector is paused for the call and left as it was
+    found: the parse makes a dict and a bbox list per entry and no cycle, so
+    a collection could free nothing, yet every 700 containers would start
+    one that scans the entries built so far."""
+    with _collector_paused():
+        return _ingest(path)
+
+
+# held while the collector's state is read and set, so that an ingest ending
+# in another thread cannot resume the collector between the read and the set
+_PAUSE_LOCK = threading.Lock()
+
+
+def _after_fork_in_child() -> None:
+    """A lock that another thread held at the fork would stay held in the
+    child: make it anew."""
+    global _PAUSE_LOCK
+    _PAUSE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; resume it on exit only if it was
+    running on entry, so that a caller's own gc.disable() stands."""
+    with _PAUSE_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            with _PAUSE_LOCK:
+                gc.enable()
+
+
+def _ingest(path) -> Detections:
+    """ingest_coco_results' body. The parsed value lives only in this frame
+    and is dropped before a ParseError is raised, so no entry is alive when
+    the collector resumes: else the next allocation would start a collection
+    that scans every entry."""
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        raise DomainError(
+            f"path must be a str, bytes or os.PathLike object, got {path!r}") from None
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -309,10 +364,12 @@ def ingest_coco_results(path: str) -> Detections:
             # RFC 8259: JSON exchanged between systems is UTF-8
             raise ParseError(f"not UTF-8 text: {exc}") from None
     if not isinstance(raw, list):
+        del raw
         raise ParseError("top-level value must be a JSON array")
     dets = _columns(raw)
     if dets is None:
         i, message = next((i, m) for i, m in enumerate(map(_entry_error, raw)) if m)
+        del raw
         raise ParseError(message, index=i)
     return dets
 

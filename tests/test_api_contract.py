@@ -177,6 +177,10 @@ _REJECTED = [
      _whole("entry 1: negative box extent in (1.0, 0.5, 2.25, -1.0)")),
     ("ingest-nested-too-deeply", b"[" * 100_000 + b"]" * 100_000, ParseError,
      _whole("JSON nested too deeply")),
+    # an int is a path, not a file descriptor to read and close
+    *[(f"ingest-{name}", lambda path=path: ingest_coco_results(path), DomainError,
+       _whole(f"path must be a str, bytes or os.PathLike object, got {path!r}"))
+      for name, path in [("fd-0", 0), ("path-True", True)]],
     ("ingest-empty", b"", ParseError, "^not valid JSON: "),
     ("ingest-cut-short", b'[{"image_id": 1,', ParseError, "^not valid JSON: "),
     # two bytes that start UTF-16 text, UTF-16 with a byte-order mark, and a

@@ -1,7 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -759,6 +763,75 @@ def test_ingest_columns_are_c_contiguous(tmp_path, n):
     dets = ingest_coco_results(_results_file(tmp_path, _valid_entries(n)))
     assert all(col.flags.c_contiguous
                for col in (dets.image_id, dets.category_id, dets.bbox, dets.score))
+
+
+def test_ingest_of_fd_0_leaves_it_open():
+    stdin = os.fstat(0)
+    with pytest.raises(DomainError):
+        ingest_coco_results(0)
+    assert os.path.samestat(os.fstat(0), stdin)
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("last_bad", [False, True], ids=["valid", "last-entry-malformed"])
+def test_ingest_starts_no_collection_and_leaves_the_collector_as_found(
+        tmp_path, collector_on, last_bad):
+    entries = _valid_entries(2000)
+    if last_bad:
+        entries[-1] = {**entries[-1], "score": 1.5}
+    path = _results_file(tmp_path, entries)
+    starts = []  # (generation, objects in the young generation) per collection
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append((info["generation"], len(gc.get_objects(generation=0))))
+
+    was_on = gc.isenabled()
+    gc.collect()  # the young generation's count starts from 0
+    (gc.enable if collector_on else gc.disable)()
+    gc.callbacks.append(record)
+    try:
+        try:
+            ingest_coco_results(path)
+        except ParseError:
+            assert last_bad
+        else:
+            assert not last_bad
+        assert gc.isenabled() == collector_on
+        # were the parsed entries alive when the collector resumed, their
+        # count would start a collection at the next allocation
+        [[] for _ in range(100)]
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_on else gc.disable)()
+    if last_bad:
+        # each entry the rejection walks leaves the young generation's count
+        # one higher (tuple() of a map resizes the tuple it builds), so one
+        # collection may start as the collector resumes: it must not find
+        # the entries there
+        assert all(young < len(entries) for _, young in starts), starts
+    else:
+        assert starts == []
+
+
+def test_ingest_in_two_threads_at_once_matches_serial(tmp_path):
+    path = _results_file(tmp_path, _valid_entries(2000))
+    want = ingest_coco_results(path)
+    start = threading.Barrier(2)
+
+    def ingest_20():
+        start.wait(timeout=60)
+        return [ingest_coco_results(path) for _ in range(20)]
+
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(ingest_20) for _ in range(2)]
+        got = [dets for run in runs for dets in run.result()]
+    assert gc.isenabled()
+    assert len(got) == 40
+    for dets in got:
+        for field in dataclasses.fields(Detections):
+            a, b = getattr(dets, field.name), getattr(want, field.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def make_dets(rows):
